@@ -17,7 +17,7 @@ from collinea.search import SearchConfig, min_triples_field
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--big", action="store_true", help="also run q = 11 (tens of seconds)")
+    ap.add_argument("--big", action="store_true", help="also run q = 11 (under a second)")
     args = ap.parse_args()
 
     qs = [3, 5, 7, 9] + ([11] if args.big else [])

@@ -16,8 +16,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max", type=int, default=10,
                     help="largest modulus (default 10; 12 adds about two "
-                         "minutes, nearly all of it the cold search at the "
-                         "prime 11)")
+                         "seconds, most of it the search at the prime 11)")
     args = ap.parse_args()
 
     print("n    minimum  lex-least witness                         time")

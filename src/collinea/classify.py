@@ -170,16 +170,9 @@ def classify_conic(coeffs, f):
     return "nondegenerate_irreducible" if det != 0 else "degenerate"
 
 
-def certify_minimizer(perm):
-    """Full certificate for a (q-1)/2-triple permutation: a nondegenerate
-    conic through q+1 of the lifted points with the leftover point external,
-    conic coefficients with a = b = 0, external point affine and matching the
-    recognized fractional parameters.
-
-    The external point is found by drop-one fitting, not assumed: for q >= 5
-    two distinct conics share at most 4 points, so only the genuine external
-    point can leave a fittable q+1 subset.  First violated check is named in
-    the CertificateFailure."""
+def _certify(perm):
+    """certify_minimizer's checks; returns the certificate with the lifted
+    set and the recognized fractional parameters it was checked against."""
     f = perm.ctx
     q = f.q
     if count_triples(perm) != (q - 1) // 2:
@@ -220,23 +213,31 @@ def certify_minimizer(perm):
     for inf in ((1, 0, 0), (0, 1, 0)):
         if not is_internal_nucleus(omega, inf):
             raise CertificateFailure("internal_nucleus", f"{inf} fails the nucleus test")
-    return ConicCert(cert.coeffs, ext, True, True)
+    return ConicCert(cert.coeffs, ext, True, True), omega, params
+
+
+def certify_minimizer(perm):
+    """Full certificate for a (q-1)/2-triple permutation: a nondegenerate
+    conic through q+1 of the lifted points with the leftover point external,
+    conic coefficients with a = b = 0, external point affine and matching the
+    recognized fractional parameters.
+
+    The external point is found by drop-one fitting, not assumed: for q >= 5
+    two distinct conics share at most 4 points, so only the genuine external
+    point can leave a fittable q+1 subset.  First violated check is named in
+    the CertificateFailure."""
+    return _certify(perm)[0]
 
 
 def certificate_bundle(perm):
     """Certificate plus its side computations, shaped for JSON output."""
-    cert = certify_minimizer(perm)
-    f = perm.ctx
-    omega = lift_graph(perm)
-    params = recognize_fractional(perm)
+    cert, omega, params = _certify(perm)
     return {
         "coeffs": list(cert.coeffs),
         "external_point": list(cert.external_point),
-        "k_star": count_covered_lines(omega.points, f),
-        "nucleus_checks": {
-            "[1:0:0]": is_internal_nucleus(omega, (1, 0, 0)),
-            "[0:1:0]": is_internal_nucleus(omega, (0, 1, 0)),
-        },
+        "k_star": count_covered_lines(omega.points, perm.ctx),
+        # certification fails unless both infinite points are internal nuclei
+        "nucleus_checks": {"[1:0:0]": True, "[0:1:0]": True},
         "lemma_ab_zero": cert.coeffs[0] == 0 and cert.coeffs[1] == 0,
         "fractional_params": [params.alpha, params.beta, params.gamma],
     }

@@ -48,10 +48,12 @@ from .plane import AffinePlane, ProjectivePlane, delete_line, load_plane, save_p
 from .repro import CLAIMS, run_claim
 from .search import (
     SearchConfig,
+    config_to_json,
     min_triples_field,
     min_triples_plane,
     min_triples_zn,
     outcome_to_json,
+    resolve_threads,
 )
 
 
@@ -152,29 +154,13 @@ def _load_perm_source(args, digests):
 
 
 def _cfg(args, mode):
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("COLLINEA_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError(f"COLLINEA_THREADS={env!r} is not an integer") from None
     try:
         return SearchConfig(mode=mode, parallel_depth=args.parallel_depth,
-                            threads=threads, node_limit=args.node_limit,
+                            threads=resolve_threads(args.threads),
+                            node_limit=args.node_limit,
                             upper_bound_seed=args.seed_incumbent)
     except ValueError as e:
         raise UsageError(str(e)) from e
-
-
-def _cfg_dict(cfg):
-    if cfg is None:
-        return None
-    return {"mode": cfg.mode, "bound": cfg.bound,
-            "parallel_depth": cfg.parallel_depth, "threads": cfg.threads,
-            "node_limit": cfg.node_limit, "upper_bound_seed": cfg.upper_bound_seed,
-            "fix_first_image": cfg.fix_first_image}
 
 
 def _outcome_result(out):
@@ -269,7 +255,7 @@ def cmd_minimizers(args, digests):
         res["fractional"] = {"all_recognized": all(p is not None for p in params),
                              "params": params}
     res.update(nodes_expanded=out.nodes_expanded, prunes=out.prunes,
-               elapsed=round(out.elapsed, 6), config=_cfg_dict(cfg))
+               elapsed=round(out.elapsed, 6), config=config_to_json(out.config))
     return res, cfg, 0
 
 
@@ -424,7 +410,7 @@ def _emit(res, manifest, tsv):
 
 
 def _manifest(command, argv, cfg, digests, t0):
-    blob = json.dumps(_cfg_dict(cfg), sort_keys=True).encode()
+    blob = json.dumps(config_to_json(cfg), sort_keys=True).encode()
     return {"command": command, "arguments": list(argv),
             "config_hash": hashlib.sha256(blob).hexdigest(),
             "toolkit_version": __version__,

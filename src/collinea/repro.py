@@ -8,7 +8,7 @@ cross-checking property suite.  `run_claim(i)` returns a JSON-ready dict with
 "ok", "expected", "observed" and wall time; results are deterministic apart
 from the elapsed field.
 
-Search outcomes are cached per process so overlapping claims (the q = 11
+Search outcomes are cached per process so overlapping claims (the q = 13
 runs especially) pay for each search once; later claims seed their incumbent
 from a cached exact value when one exists.
 """
@@ -90,7 +90,7 @@ def _claim(claim_id, title, expected, observed, ok):
 
 
 def _claim_1():
-    qs = (3, 5, 7, 9, 11)
+    qs = (3, 5, 7, 9, 11, 13)
     expected = {q: (q - 1) // 2 for q in qs}
     observed = {q: field_outcome(q).psi for q in qs}
     return _claim(1, "minimum collinear triples over GF(q) is (q-1)/2",
@@ -122,7 +122,7 @@ def _prefix_012_maps(f):
 def _claim_2():
     observed = {}
     ok = True
-    for q in (5, 7, 9, 11):
+    for q in (5, 7, 9, 11, 13):
         f = field_make(q)
         lex = field_outcome(q, "lex_least").witnesses[0]
         family = [pg.images for pg in _fractional_family(f)]
@@ -136,7 +136,7 @@ def _claim_2():
                        "match": match, "lex_least": list(lex), "closed_form": list(g)}
     expected = {"lex_least_is_least_fractional": True,
                 "prefix_012_maps_as_predicted": True,
-                "match": {q: True for q in (5, 7, 11)}}
+                "match": {q: True for q in (5, 7, 11, 13)}}
     return _claim(2, "lex-least minimizer is the least fractional map; it is "
                      "x/(x-1) for p != 3 (at q = 9 only under modulus x^2+2x+2)",
                   expected, observed, ok)
@@ -181,7 +181,7 @@ def _claim_4():
 def _claim_5():
     observed = {}
     ok = True
-    for q in (5, 7, 9, 11):
+    for q in (5, 7, 9, 11, 13):
         f = field_make(q)
         wits = field_outcome(q, "enumerate_all_min").witnesses
         failures = 0
@@ -190,10 +190,11 @@ def _claim_5():
                 certify_minimizer(PermGraph(f, w))
             except CertificateFailure:
                 failures += 1
-        ok = ok and failures == 0
+        ok = ok and failures == 0 and len(wits) == q * q * (q - 1)
         observed[q] = {"minimizers": len(wits), "certificate_failures": failures}
-    return _claim(5, "conic/nucleus certificates succeed on every minimizer",
-                  {"certificate_failures": 0}, observed, ok)
+    return _claim(5, "conic/nucleus certificates succeed on every minimizer, "
+                     "and there are q^2(q-1) of them",
+                  {"certificate_failures": 0, "minimizers": "q^2(q-1)"}, observed, ok)
 
 
 def _claim_6():

@@ -7,16 +7,32 @@ use precomputed counter-key tables (placing a point touches one counter per
 eligible line); Z_n solves a linear congruence per placed pair to get, for
 each depth, the triple increment of every candidate image at once.
 
+Fields and Z_n are searched modulo the y-affine group y -> c*y + d, with c a
+nonzero field element or a unit mod n.  The map (x, y) -> (x, c*y + d) takes
+lines to lines, so c*sigma + d has the same triple count as sigma, and the set
+of permutations below any count is closed under the group.  A translation
+makes sigma(0) = 0; a scaling then moves sigma(1) to 1 over a field, and over
+Z_n to g = gcd(sigma(1), n), the least element of its unit orbit.  The search
+therefore runs only under the roots (0, 1), respectively (0, g) for each
+divisor g < n of n in ascending order.  The lex-first member of a closed set
+lies under the first root that holds any member, so min_value, lex_least and
+first_below are exact there.  enumerate_all_min expands the minimizers found
+under the roots by the whole group and sorts them.  Over a field each
+permutation is c*nu + d for exactly one normalized nu; over Z_n a unit fixing
+g maps one normalized minimizer to another, so repeats are dropped.  Planes
+carry no such group and are searched from the empty root.
+
 Witness extraction is a separate lex-ordered pass with the exact minimum as a
 fixed bound, so min_value, lex_least and parallel runs all report the same
-canonical witnesses.
+canonical witnesses.  With parallel_depth > 0 each root is split that many
+levels further into prefix tasks, which run in deterministic waves on one
+process pool per search.
 """
 
-import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import comb, gcd
 
 from .algebra import FieldSpec, RingSpec
@@ -43,10 +59,9 @@ class SearchConfig:
     mode: str = "min_value"
     bound: int = None  # first_below only: find a witness with count < bound
     parallel_depth: int = 0
-    threads: int = None
+    threads: int = None  # worker cap; None defers to resolve_threads
     node_limit: int = None
     upper_bound_seed: int = None  # must be a count achieved by a known witness
-    fix_first_image: bool = False  # sigma(0)=0 reduction; field/ring only
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -55,6 +70,8 @@ class SearchConfig:
             raise ValueError("parallel_depth must be >= 0")
         if self.mode == "first_below" and self.bound is None:
             raise ValueError("first_below needs a bound")
+        if self.threads is not None:
+            resolve_threads(self.threads)
 
 
 @dataclass(frozen=True)
@@ -67,23 +84,19 @@ class SearchOutcome:
     config: SearchConfig
 
 
+def config_to_json(cfg):
+    """The JSON form of a SearchConfig, or None for no config."""
+    return None if cfg is None else asdict(cfg)
+
+
 def outcome_to_json(outcome):
-    cfg = outcome.config
     return {
         "psi": outcome.psi,
         "witnesses": [list(w) for w in outcome.witnesses],
         "nodes_expanded": outcome.nodes_expanded,
         "prunes": outcome.prunes,
         "elapsed": outcome.elapsed,
-        "config": {
-            "mode": cfg.mode,
-            "bound": cfg.bound,
-            "parallel_depth": cfg.parallel_depth,
-            "threads": cfg.threads,
-            "node_limit": cfg.node_limit,
-            "upper_bound_seed": cfg.upper_bound_seed,
-            "fix_first_image": cfg.fix_first_image,
-        },
+        "config": config_to_json(outcome.config),
     }
 
 
@@ -110,7 +123,7 @@ def _bucket_unplace(keys_row, cnt):
         cnt[idx] -= 1
 
 
-def _bucket_value(q, keys, cnt_size, prefix, best, stats, node_limit, fix_first):
+def _bucket_value(q, keys, cnt_size, prefix, best, stats, node_limit):
     """Exact minimum over completions of prefix, given an achievable incumbent
     (or an unreachable sentinel).  Returns the possibly improved incumbent."""
     tri = _tri_table(q)
@@ -131,13 +144,10 @@ def _bucket_value(q, keys, cnt_size, prefix, best, stats, node_limit, fix_first)
             best = cost
             return
         base = x * q
-        first_only = fix_first and x == 0
         for y in range(q):
             m = 1 << y
             if used & m:
                 continue
-            if first_only and y > 0:
-                break
             ks = keys[base + y]
             nc = cost + _bucket_place(ks, cnt, tri)
             stats[0] += 1
@@ -154,8 +164,7 @@ def _bucket_value(q, keys, cnt_size, prefix, best, stats, node_limit, fix_first)
     return best
 
 
-def _bucket_collect(q, keys, cnt_size, prefix, limit, first_only, stats, node_limit,
-                    fix_first):
+def _bucket_collect(q, keys, cnt_size, prefix, limit, first_only, stats, node_limit):
     """All completions with count < limit, in lex order (or just the first)."""
     tri = _tri_table(q)
     cnt = [0] * cnt_size
@@ -175,13 +184,10 @@ def _bucket_collect(q, keys, cnt_size, prefix, limit, first_only, stats, node_li
             out.append(tuple(assign))
             return bool(first_only)
         base = x * q
-        head = fix_first and x == 0
         for y in range(q):
             m = 1 << y
             if used & m:
                 continue
-            if head and y > 0:
-                break
             ks = keys[base + y]
             nc = cost + _bucket_place(ks, cnt, tri)
             stats[0] += 1
@@ -227,7 +233,7 @@ def _zn_incr(n, ys, d):
     return incr
 
 
-def _zn_value(n, prefix, best, stats, node_limit, fix_first):
+def _zn_value(n, prefix, best, stats, node_limit):
     ys = list(prefix)
     used = 0
     cost = 0
@@ -244,13 +250,10 @@ def _zn_value(n, prefix, best, stats, node_limit, fix_first):
             best = cost
             return
         incr = _zn_incr(n, ys, d) if d >= 2 else [0] * n
-        head = fix_first and d == 0
         for y in range(n):
             m = 1 << y
             if used & m:
                 continue
-            if head and y > 0:
-                break
             nc = cost + incr[y]
             stats[0] += 1
             if node_limit is not None and stats[0] > node_limit:
@@ -266,7 +269,7 @@ def _zn_value(n, prefix, best, stats, node_limit, fix_first):
     return best
 
 
-def _zn_collect(n, prefix, limit, first_only, stats, node_limit, fix_first):
+def _zn_collect(n, prefix, limit, first_only, stats, node_limit):
     ys = list(prefix)
     used = 0
     cost = 0
@@ -283,13 +286,10 @@ def _zn_collect(n, prefix, limit, first_only, stats, node_limit, fix_first):
             out.append(tuple(ys))
             return bool(first_only)
         incr = _zn_incr(n, ys, d) if d >= 2 else [0] * n
-        head = fix_first and d == 0
         for y in range(n):
             m = 1 << y
             if used & m:
                 continue
-            if head and y > 0:
-                break
             nc = cost + incr[y]
             stats[0] += 1
             if node_limit is not None and stats[0] > node_limit:
@@ -308,167 +308,168 @@ def _zn_collect(n, prefix, limit, first_only, stats, node_limit, fix_first):
     return out
 
 
-# -- parallel waves ----------------------------------------------------------
+# -- tasks and the process pool ----------------------------------------------
 
 
-def _bucket_task(args):
-    kind, q, keys, cnt_size, prefix, a, b, node_budget, fix_first = args
+def _task(args):
+    kernel, ctx, prefix, bounds, node_budget = args
     stats = [0, 0]
-    if kind == "value":
-        r = _bucket_value(q, keys, cnt_size, prefix, a, stats, node_budget, fix_first)
-    else:
-        r = _bucket_collect(q, keys, cnt_size, prefix, a, b, stats, node_budget, fix_first)
+    r = kernel(*ctx, prefix, *bounds, stats, node_budget)
     return r, stats[0], stats[1]
 
 
-def _zn_task(args):
-    kind, n, prefix, a, b, node_budget, fix_first = args
-    stats = [0, 0]
-    if kind == "value":
-        r = _zn_value(n, prefix, a, stats, node_budget, fix_first)
-    else:
-        r = _zn_collect(n, prefix, a, b, stats, node_budget, fix_first)
-    return r, stats[0], stats[1]
-
-
-def resolve_threads(threads):
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("COLLINEA_THREADS")
-    if env:
+def resolve_threads(threads=None):
+    """The requested worker count: threads if given, else COLLINEA_THREADS if
+    set, else None for one worker per core.  A value that is not a positive
+    integer raises ValueError."""
+    source = "threads"
+    if threads is None:
+        env = os.environ.get("COLLINEA_THREADS")
+        if not env:
+            return None
+        source = "COLLINEA_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+            raise ValueError(f"COLLINEA_THREADS={env!r} is not an integer") from None
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"{source} must be a positive integer, got {threads!r}")
+    return threads
 
 
-def _prefixes(q, depth, fix_first):
-    """Distinct-image tuples of the given length, lexicographic."""
-    depth = min(depth, q)
+def _pool_size(threads, tasks, cpus):
+    """Workers to start: no more than requested, than tasks, or than cores."""
+    return max(1, min(threads or cpus, tasks, cpus))
+
+
+def _prefixes(size, roots, depth):
+    """The tasks: each root extended by up to depth further distinct images,
+    in lex order."""
     out = []
 
-    def gen(pre):
-        if len(pre) == depth:
+    def gen(pre, left):
+        if left == 0 or len(pre) == size:
             out.append(tuple(pre))
             return
-        cands = (0,) if (fix_first and not pre) else range(q)
-        for y in cands:
+        for y in range(size):
             if y in pre:
                 continue
             pre.append(y)
-            gen(pre)
+            gen(pre, left - 1)
             pre.pop()
 
-    gen([])
+    for root in roots:
+        gen(list(root), depth)
     return out
 
 
-class _Waves:
-    """Runs prefix tasks in deterministic chunked waves, merging in task
-    order so the outcome never depends on completion timing."""
+class _Tasks:
+    """Runs the value and collect kernels over the prefix tasks, merging
+    results in task order.  Sequentially each task starts from the previous
+    tasks' incumbent; with parallel_depth > 0 the tasks go to one process
+    pool in chunked waves, so the outcome never depends on completion timing.
+    Use as a context manager: leaving it shuts the pool down."""
 
-    def __init__(self, task_fn, make_args, cfg, stats):
-        self.task_fn = task_fn
-        self.make_args = make_args
-        self.cfg = cfg
+    def __init__(self, cfg, kernels, ctx, prefixes, stats):
+        self.value_kernel, self.collect_kernel = kernels
+        self.ctx = ctx
+        self.node_limit = cfg.node_limit
         self.stats = stats
-        self.workers = resolve_threads(cfg.threads)
+        self.pool = None
+        self.waves = [[p] for p in prefixes]
+        if cfg.parallel_depth > 0:
+            workers = _pool_size(resolve_threads(cfg.threads), len(prefixes),
+                                 os.cpu_count() or 1)
+            chunk = workers * _WAVE_FACTOR
+            self.waves = [prefixes[i : i + chunk] for i in range(0, len(prefixes), chunk)]
+            self.pool = ProcessPoolExecutor(max_workers=workers)
 
-    def _budget(self):
-        if self.cfg.node_limit is None:
-            return None
-        left = self.cfg.node_limit - self.stats[0]
-        if left <= 0:
-            raise NodeLimitExceeded(f"expanded more than {self.cfg.node_limit} nodes")
-        return left
+    def __enter__(self):
+        return self
 
-    def run_value(self, prefixes, best):
-        chunk = self.workers * _WAVE_FACTOR
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            for base in range(0, len(prefixes), chunk):
-                wave = prefixes[base : base + chunk]
-                budget = self._budget()
-                args = [self.make_args("value", p, best, None, budget) for p in wave]
-                for r, nodes, prunes in pool.map(self.task_fn, args):
-                    self.stats[0] += nodes
-                    self.stats[1] += prunes
-                    if r < best:
-                        best = r
-                if self.cfg.node_limit is not None and self.stats[0] > self.cfg.node_limit:
-                    raise NodeLimitExceeded(
-                        f"expanded more than {self.cfg.node_limit} nodes"
-                    )
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def _over_limit(self):
+        return NodeLimitExceeded(f"expanded more than {self.node_limit} nodes")
+
+    def _run(self, kernel, wave, bounds):
+        if self.pool is None:
+            return [kernel(*self.ctx, p, *bounds, self.stats, self.node_limit)
+                    for p in wave]
+        budget = None
+        if self.node_limit is not None:
+            budget = self.node_limit - self.stats[0]
+            if budget <= 0:
+                raise self._over_limit()
+        out = []
+        args = [(kernel, self.ctx, p, bounds, budget) for p in wave]
+        for r, nodes, prunes in self.pool.map(_task, args):
+            self.stats[0] += nodes
+            self.stats[1] += prunes
+            out.append(r)
+        if self.node_limit is not None and self.stats[0] > self.node_limit:
+            raise self._over_limit()
+        return out
+
+    def value(self, best):
+        for wave in self.waves:
+            for r in self._run(self.value_kernel, wave, (best,)):
+                best = min(best, r)
         return best
 
-    def run_collect(self, prefixes, limit, first_only):
-        chunk = self.workers * _WAVE_FACTOR
+    def collect(self, limit, first_only):
         out = []
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            for base in range(0, len(prefixes), chunk):
-                wave = prefixes[base : base + chunk]
-                budget = self._budget()
-                args = [
-                    self.make_args("collect", p, limit, first_only, budget) for p in wave
-                ]
-                for r, nodes, prunes in pool.map(self.task_fn, args):
-                    self.stats[0] += nodes
-                    self.stats[1] += prunes
-                    if r and not (first_only and out):
-                        out.extend(r)
-                if self.cfg.node_limit is not None and self.stats[0] > self.cfg.node_limit:
-                    raise NodeLimitExceeded(
-                        f"expanded more than {self.cfg.node_limit} nodes"
-                    )
-                if first_only and out:
-                    break
-        return out[:1] if first_only else out
+        for wave in self.waves:
+            for r in self._run(self.collect_kernel, wave, (limit, first_only)):
+                if not (first_only and out):
+                    out.extend(r)
+            if first_only and out:
+                break
+        return out
 
 
 # -- orchestration -----------------------------------------------------------
 
 
-def _run_search(size, cfg, seed_value, value_fn, collect_fn, waves, recount, max_count):
+def _run_search(cfg, size, roots, kernels, ctx, recount, seed_value=None, expand=None):
+    """Run cfg's mode over the completions of roots.  expand maps the
+    minimizers found under the roots to every minimizer, in lex order."""
     t0 = time.perf_counter()
     stats = [0, 0]
-    fix = cfg.fix_first_image
-
-    def value_phase(best):
-        if cfg.parallel_depth > 0:
-            w = waves(stats)
-            return w.run_value(_prefixes(size, cfg.parallel_depth, fix), best)
-        return value_fn((), best, stats, cfg.node_limit, fix)
-
-    def collect_phase(limit, first_only):
-        if cfg.parallel_depth > 0:
-            w = waves(stats)
-            return w.run_collect(_prefixes(size, cfg.parallel_depth, fix), limit, first_only)
-        return collect_fn((), limit, first_only, stats, cfg.node_limit, fix)
-
-    if cfg.mode == "first_below":
-        found = collect_phase(cfg.bound, True)
-        psi = recount(found[0]) if found else None
-        witnesses = tuple(found)
-    else:
-        sentinel = max_count + 1
-        best = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
-        if best is None:
-            best = sentinel
-        psi = value_phase(best)
-        if cfg.mode == "enumerate_all_min":
-            witnesses = tuple(collect_phase(psi + 1, False))
-        else:  # min_value and lex_least: the canonical lex-least witness
-            witnesses = tuple(collect_phase(psi + 1, True))
-        if not witnesses:
-            # only possible when the seeded incumbent undercut the true
-            # minimum, so nothing attained the reported value
-            raise ValueError(f"upper bound seed {best} is below the minimum")
+    with _Tasks(cfg, kernels, ctx, _prefixes(size, roots, cfg.parallel_depth),
+                stats) as tasks:
+        if cfg.mode == "first_below":
+            found = tasks.collect(cfg.bound, True)
+            psi = recount(found[0]) if found else None
+        else:
+            best = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
+            if best is None:
+                best = comb(size, 3) + 1
+            psi = tasks.value(best)
+            # min_value and lex_least report the canonical lex-least witness
+            found = tasks.collect(psi + 1, cfg.mode != "enumerate_all_min")
+            if not found:
+                # only possible when the seeded incumbent undercut the true
+                # minimum, so nothing attained the reported value
+                raise ValueError(f"upper bound seed {best} is below the minimum")
+    if cfg.mode == "enumerate_all_min" and expand is not None:
+        found = expand(found)
+    witnesses = tuple(found)
     for w in witnesses:
         got = recount(w)
         if got != psi:
             raise AssertionError(f"witness {w} recounts to {got}, search said {psi}")
     elapsed = time.perf_counter() - t0
     return SearchOutcome(psi, witnesses, stats[0], stats[1], elapsed, cfg)
+
+
+def _y_affine_images(ctx, scales, ws):
+    """Every c*w + d with c in scales and d any element, for each witness w,
+    without repeats and in lex order."""
+    return sorted({tuple(ctx.add(ctx.mul(c, y), d) for y in w)
+                   for w in ws for c in scales for d in range(len(w))})
 
 
 def _field_keys(f):
@@ -486,29 +487,18 @@ def min_triples_field(f, cfg=None):
     from the closed-form family (odd q) or the reciprocal map (even q)."""
     cfg = cfg or SearchConfig()
     q = f.q
-    keys = _field_keys(f)
     if cfg.upper_bound_seed is None and cfg.mode != "first_below":
         seed_perm = closed_form_minimizer(f) if f.p != 2 else reciprocal_perm(f)
         seed = count_triples(seed_perm)
     else:
         seed = None
 
-    def value_fn(prefix, best, stats, nl, fix):
-        return _bucket_value(q, keys, q * q, prefix, best, stats, nl, fix)
-
-    def collect_fn(prefix, limit, first, stats, nl, fix):
-        return _bucket_collect(q, keys, q * q, prefix, limit, first, stats, nl, fix)
-
-    def waves(stats):
-        def make_args(kind, prefix, a, b, budget):
-            return (kind, q, keys, q * q, prefix, a, b, budget, cfg.fix_first_image)
-
-        return _Waves(_bucket_task, make_args, cfg, stats)
-
     def recount(w):
         return len(list_triples(PermGraph(f, w)))
 
-    return _run_search(q, cfg, seed, value_fn, collect_fn, waves, recount, comb(q, 3))
+    return _run_search(cfg, q, [(0, 1)], (_bucket_value, _bucket_collect),
+                       (q, _field_keys(f), q * q), recount, seed,
+                       lambda ws: _y_affine_images(f, range(1, q), ws))
 
 
 def min_triples_zn(n, cfg=None):
@@ -516,23 +506,15 @@ def min_triples_zn(n, cfg=None):
     if n < 3:
         raise ValueError("need n >= 3")
     cfg = cfg or SearchConfig()
-
-    def value_fn(prefix, best, stats, nl, fix):
-        return _zn_value(n, prefix, best, stats, nl, fix)
-
-    def collect_fn(prefix, limit, first, stats, nl, fix):
-        return _zn_collect(n, prefix, limit, first, stats, nl, fix)
-
-    def waves(stats):
-        def make_args(kind, prefix, a, b, budget):
-            return (kind, n, prefix, a, b, budget, cfg.fix_first_image)
-
-        return _Waves(_zn_task, make_args, cfg, stats)
+    ring = RingSpec(n)
+    roots = [(0, g) for g in range(1, n) if n % g == 0]
+    units = [c for c in range(1, n) if gcd(c, n) == 1]
 
     def recount(w):
-        return count_triples(PermGraph(RingSpec(n), w))
+        return count_triples(PermGraph(ring, w))
 
-    return _run_search(n, cfg, None, value_fn, collect_fn, waves, recount, comb(n, 3))
+    return _run_search(cfg, n, roots, (_zn_value, _zn_collect), (n,), recount,
+                       expand=lambda ws: _y_affine_images(ring, units, ws))
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):
@@ -552,25 +534,13 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
     for i in range(q):
         for j in range(q):
             keys.append(lines_of.get(grid[i][j], []))
-    cnt_size = len(ap.lines)
-
-    def value_fn(prefix, best, stats, nl, fix):
-        return _bucket_value(q, keys, cnt_size, prefix, best, stats, nl, False)
-
-    def collect_fn(prefix, limit, first, stats, nl, fix):
-        return _bucket_collect(q, keys, cnt_size, prefix, limit, first, stats, nl, False)
-
-    def waves(stats):
-        def make_args(kind, prefix, a, b, budget):
-            return (kind, q, keys, cnt_size, prefix, a, b, budget, False)
-
-        return _Waves(_bucket_task, make_args, cfg, stats)
 
     def recount(w):
         gp = transversal_from_bijection(ap, h_class, v_class, w)
         return count_triples_plane(gp)
 
-    return _run_search(q, cfg, None, value_fn, collect_fn, waves, recount, comb(q, 3))
+    return _run_search(cfg, q, [()], (_bucket_value, _bucket_collect),
+                       (q, keys, len(ap.lines)), recount)
 
 
 def _dispatch(target, cfg):

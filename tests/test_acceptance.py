@@ -35,7 +35,7 @@ def _run(i, budget=None):
 
 def test_criterion_01_field_minima():
     out = _run(1, budget=11 * 60)
-    assert out["observed"] == {3: 1, 5: 2, 7: 3, 9: 4, 11: 5}
+    assert out["observed"] == {3: 1, 5: 2, 7: 3, 9: 4, 11: 5, 13: 6}
 
 
 def test_criterion_02_lex_least_equals_closed_form():
@@ -44,6 +44,8 @@ def test_criterion_02_lex_least_equals_closed_form():
     assert nine["lex_least"] == [0, 1, 2, 4, 3, 8, 7, 6, 5]
     assert nine["closed_form"] == [0, 1, 2, 5, 7, 3, 8, 4, 6]
     assert nine["match"] is False
+    for q in (5, 7, 11, 13):
+        assert out["observed"][q]["match"] is True
 
 
 def test_criterion_03_minimizers_are_fractional():
@@ -60,7 +62,8 @@ def test_criterion_04_covered_line_count():
 
 
 def test_criterion_05_certificates():
-    _run(5)
+    out = _run(5)
+    assert out["observed"][13] == {"minimizers": 2028, "certificate_failures": 0}
 
 
 def test_criterion_06_no_quadruples():

@@ -192,6 +192,24 @@ def test_threads_env_default(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_bad_thread_counts_are_usage_errors(capsys, monkeypatch):
+    monkeypatch.delenv("COLLINEA_THREADS", raising=False)
+    for argv in (["--threads", "0"], ["--threads", "-2"]):
+        code, d = run(capsys, "psi", "field", "5", "--parallel-depth", "1", *argv)
+        assert (code, d["error"]["type"]) == (2, "UsageError")
+    monkeypatch.setenv("COLLINEA_THREADS", "0")
+    code, d = run(capsys, "minimizers", "5")
+    assert (code, d["error"]["type"]) == (2, "UsageError")
+
+
+def test_config_block_keys(capsys):
+    keys = {"mode", "bound", "parallel_depth", "threads", "node_limit", "upper_bound_seed"}
+    for argv in (["psi", "zn", "6"], ["minimizers", "5"]):
+        code, d = run(capsys, *argv)
+        assert code == 0
+        assert set(d["config"]) == keys
+
+
 def test_mols_pipeline(capsys, tmp_path, plane3):
     mf = str(tmp_path / "m.json")
     code, d = run(capsys, "mols", "from-plane", plane3, "--h", "3", "--v", "0",

@@ -1,6 +1,7 @@
 """Branch-and-bound searches against flat exhaustive oracles, plus mode
 semantics, determinism, and parallel agreement."""
 
+import functools
 import itertools
 
 import pytest
@@ -17,15 +18,20 @@ from collinea.collinear import (
     transversal_from_bijection,
 )
 from collinea.errors import ClassesNotDistinct, NodeLimitExceeded
+from collinea.fixtures import load_fixture
 from collinea.plane import affine_plane
 from collinea.search import (
+    MODES,
     SearchConfig,
+    _pool_size,
+    _prefixes,
     enumerate_minimizers,
     lex_least_minimizer,
     min_triples_field,
     min_triples_plane,
     min_triples_zn,
     outcome_to_json,
+    resolve_threads,
 )
 
 
@@ -152,17 +158,90 @@ def test_seeded_incumbent_matches():
     assert out.witnesses == ((0, 1, 2, 4, 3),)
 
 
-def test_fix_first_image_reduction():
-    f5 = field_make(5)
-    full = min_triples_field(f5, SearchConfig(mode="enumerate_all_min"))
-    fixed = min_triples_field(
-        f5, SearchConfig(mode="enumerate_all_min", fix_first_image=True)
-    )
-    assert fixed.psi == full.psi
-    assert fixed.witnesses == tuple(w for w in full.witnesses if w[0] == 0)
-    # the lex-least witness starts with 0, so it survives the reduction
-    least = min_triples_field(f5, SearchConfig(mode="lex_least", fix_first_image=True))
-    assert least.witnesses == ((0, 1, 2, 4, 3),)
+@functools.lru_cache(maxsize=None)
+def _brute(kind, n):
+    """Every permutation of the domain with its triple count, in lex order."""
+    ctx = field_make(n) if kind == "field" else RingSpec(n)
+    return [(p, count_triples(PermGraph(ctx, p))) for p in itertools.permutations(range(n))]
+
+
+def _search(kind, n, cfg):
+    if kind == "field":
+        return min_triples_field(field_make(n), cfg)
+    if kind == "zn":
+        return min_triples_zn(n, cfg)
+    return min_triples_plane(load_fixture(n), 0, 1, cfg)
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("field", q) for q in (2, 3, 4, 5, 7)] + [("zn", n) for n in range(3, 9)])
+def test_quotient_search_matches_brute_force(kind, n):
+    # the search runs under (0, 1), or (0, g) for divisors g of n, and must
+    # still agree with a scan of every permutation in every mode
+    rows = _brute(kind, n)
+    psi = min(c for _, c in rows)
+    minimizers = tuple(p for p, c in rows if c == psi)
+    for mode in ("min_value", "lex_least"):
+        out = _search(kind, n, SearchConfig(mode=mode))
+        assert (out.psi, out.witnesses) == (psi, minimizers[:1])
+    out = _search(kind, n, SearchConfig(mode="enumerate_all_min"))
+    assert (out.psi, out.witnesses) == (psi, minimizers)
+    for bound in (psi + 1, psi + 2):
+        first, count = next((p, c) for p, c in rows if c < bound)
+        out = _search(kind, n, SearchConfig(mode="first_below", bound=bound))
+        assert (out.psi, out.witnesses) == (count, (first,))
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_enumeration_has_q2_q_minus_1_minimizers(q):
+    out = min_triples_field(field_make(q), SearchConfig(mode="enumerate_all_min"))
+    assert len(out.witnesses) == q * q * (q - 1)
+    assert list(out.witnesses) == sorted(set(out.witnesses))
+
+
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
+def test_parallel_equals_sequential_every_mode(kind, n):
+    for mode in MODES:
+        bound = 5 if mode == "first_below" else None
+        seq = _search(kind, n, SearchConfig(mode=mode, bound=bound))
+        for threads, depth in itertools.product((1, 2), (1, 2)):
+            par = _search(kind, n, SearchConfig(mode=mode, bound=bound,
+                                                parallel_depth=depth, threads=threads))
+            assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses), (mode, threads, depth)
+
+
+def test_prefix_tasks_split_below_the_roots():
+    assert _prefixes(5, [(0, 1)], 1) == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    assert _prefixes(4, [(0, 1), (0, 2)], 2) == [
+        (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1)]
+    assert _prefixes(3, [()], 1) == [(0,), (1,), (2,)]
+    assert _prefixes(3, [(0, 1)], 0) == [(0, 1)]
+
+
+def test_resolve_threads(monkeypatch):
+    monkeypatch.delenv("COLLINEA_THREADS", raising=False)
+    assert resolve_threads(None) is None
+    assert resolve_threads(3) == 3
+    monkeypatch.setenv("COLLINEA_THREADS", "4")
+    assert resolve_threads(None) == 4
+    assert resolve_threads(2) == 2
+    for bad in ("two", "0", "-3", "1.5"):
+        monkeypatch.setenv("COLLINEA_THREADS", bad)
+        with pytest.raises(ValueError):
+            resolve_threads(None)
+    for bad in (0, -1, 2.5, "2", True):
+        with pytest.raises(ValueError):
+            resolve_threads(bad)
+        with pytest.raises(ValueError):
+            SearchConfig(threads=bad)
+
+
+def test_pool_size_is_clamped():
+    # huge requests are checked through the clamp alone: no process is started
+    assert _pool_size(10**6, 10**6, 2) == 2
+    assert _pool_size(10**6, 3, 64) == 3
+    assert _pool_size(None, 100, 2) == 2
+    assert _pool_size(1, 100, 8) == 1
 
 
 def test_parallel_agrees_with_sequential():

@@ -9,8 +9,9 @@ one: the Hall plane minus its translation line.
 The minimum is taken over transversals with respect to a fixed PAIR of
 parallel classes, and on the non-Desarguesian planes it genuinely depends on
 which pair you fix.  Every bundled fixture documents its pinned pair (0, 1)
-in its provenance string; --sweep redoes the full 45-pair sweep for one
-fixture and prints the split.
+in its provenance string; `collinea psi plane <fixture> --all-pairs` redoes
+the full 45-pair sweep for one fixture and prints the split (try it on
+hall_translation_deleted).
 """
 
 import argparse
@@ -21,24 +22,10 @@ from collinea.search import SearchConfig, min_triples_plane
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sweep", metavar="FIXTURE", default=None,
-                    help="sweep all class pairs of one fixture "
-                         "(try: hall_translation_deleted)")
-    args = ap.parse_args()
-
-    if args.sweep:
-        plane = load_fixture(args.sweep)
-        by_psi = {}
-        t0 = time.perf_counter()
-        for h in range(len(plane.parallel_classes)):
-            for v in range(h + 1, len(plane.parallel_classes)):
-                psi = min_triples_plane(plane, h, v, SearchConfig()).psi
-                by_psi.setdefault(psi, []).append((h, v))
-        print(f"{args.sweep}: all class pairs, {time.perf_counter() - t0:.0f}s")
-        for psi in sorted(by_psi):
-            print(f"  minimum {psi}: {len(by_psi[psi])} pairs  {by_psi[psi]}")
-        return
+    argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        epilog="all 45 class pairs of one fixture: "
+               "collinea psi plane <fixture> --all-pairs").parse_args()
 
     h, v = DISTINGUISHED_CLASSES
     print(f"transversal minimum at the pinned class pair ({h}, {v}):")

@@ -236,48 +236,6 @@ def field_make(q):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def field_arith(spec, op, *operands):
-    """Dispatch a named field operation; validates encodings."""
-    q = spec.q
-    for v in operands:
-        if not (0 <= v < q) and op != "pow":
-            raise ValueError(f"{v} is not a valid element of GF({q})")
-    if op == "add":
-        return spec.add(*operands)
-    if op == "sub":
-        return spec.sub(*operands)
-    if op == "mul":
-        return spec.mul(*operands)
-    if op == "div":
-        return spec.div(*operands)
-    if op == "neg":
-        return spec.neg(*operands)
-    if op == "inv":
-        return spec.inv(*operands)
-    if op == "pow":
-        a, e = operands
-        if not 0 <= a < q:
-            raise ValueError(f"{a} is not a valid element of GF({q})")
-        return spec.pow_(a, e)
-    raise ValueError(f"unknown field operation {op!r}")
-
-
-def ring_arith(spec, op, *operands):
-    """Dispatch a named Z_n operation (add, sub, mul, neg only)."""
-    for v in operands:
-        if not 0 <= v < spec.n:
-            raise ValueError(f"{v} is not a valid element of Z_{spec.n}")
-    if op == "add":
-        return spec.add(*operands)
-    if op == "sub":
-        return spec.sub(*operands)
-    if op == "mul":
-        return spec.mul(*operands)
-    if op == "neg":
-        return spec.neg(*operands)
-    raise ValueError(f"unknown ring operation {op!r}")
-
-
 @dataclass(frozen=True)
 class FFMatrix:
     """Dense row-major matrix over a FieldSpec."""

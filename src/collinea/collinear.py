@@ -289,14 +289,3 @@ def transversal_from_bijection(plane, h_class, v_class, pi):
         cells.append(inter.pop())
     return GenPerm(plane, h_class, v_class, tuple(cells))
 
-
-def induced_transversal(perm):
-    """View a field PermGraph inside ag2: h = the vertical class, v = the
-    slope-0 class, chosen points (x, sigma(x))."""
-    from .plane import affine_plane
-
-    f = perm.ctx
-    pl = affine_plane(f)
-    q = f.q
-    cells = tuple(i * q + perm.images[i] for i in range(q))
-    return GenPerm(pl, q, 0, cells)

@@ -27,9 +27,6 @@ class AffinePlane:
     def n_points(self):
         return self.order * self.order
 
-    def lines_through(self, point):
-        return [i for i, ln in enumerate(self.lines) if point in ln]
-
 
 @dataclass(frozen=True)
 class ProjectivePlane:
@@ -43,9 +40,6 @@ class ProjectivePlane:
     @property
     def n_points(self):
         return self.order * self.order + self.order + 1
-
-    def lines_through(self, point):
-        return [i for i, ln in enumerate(self.lines) if point in ln]
 
 
 def affine_plane(f):
@@ -170,7 +164,10 @@ _FAILURE_CAP = 100
 
 def validate(plane):
     """Check every type invariant; the report carries one message per violated
-    axiom instance, each with a witness."""
+    axiom instance, each with a witness.  The incidence sweeps run only on a
+    plane with the right line count and no overlong line or out-of-range
+    point, and stop once the report is full: they cost O(n^2) in the stated
+    order, which a short hostile file could otherwise make huge."""
     fails = []
 
     def note(msg):
@@ -182,39 +179,24 @@ def validate(plane):
     projective = isinstance(plane, ProjectivePlane)
     want_lines = q * q + q + 1 if projective else q * q + q
     want_size = q + 1 if projective else q
-    if len(plane.lines) != want_lines:
+    sweep = len(plane.lines) == want_lines
+    if not sweep:
         note(f"line count {len(plane.lines)}, expected {want_lines}")
-    cover = {}
     for i, ln in enumerate(plane.lines):
-        if len(set(ln)) != want_size:
-            note(f"line {i} has {len(set(ln))} distinct points, expected {want_size}")
+        size = len(set(ln))
+        if size != want_size:
+            note(f"line {i} has {size} distinct points, expected {want_size}")
+            sweep = sweep and size < want_size
         for p in ln:
             if not 0 <= p < n:
                 note(f"line {i} contains out-of-range point {p}")
-        sl = sorted(set(ln))
-        for a in range(len(sl)):
-            for b in range(a + 1, len(sl)):
-                cover.setdefault((sl[a], sl[b]), []).append(i)
-    for x in range(n):
-        for y in range(x + 1, n):
-            hits = cover.get((x, y), [])
-            if len(hits) != 1:
-                note(f"pair ({x}, {y}) lies on {len(hits)} lines: {hits}")
-    if projective:
-        for i in range(len(plane.lines)):
-            si = set(plane.lines[i])
-            for j in range(i + 1, len(plane.lines)):
-                m = len(si & set(plane.lines[j]))
-                if m != 1:
-                    note(f"lines {i} and {j} meet in {m} points")
-        deg = [0] * n
-        for ln in plane.lines:
-            for p in set(ln):
-                deg[p] += 1
-        for p, d in enumerate(deg):
-            if d != q + 1:
-                note(f"point {p} lies on {d} lines, expected {q+1}")
-    else:
+                sweep = False
+    if sweep:
+        for msg in _incidence_faults(plane, projective):
+            if len(fails) == _FAILURE_CAP:
+                break
+            note(msg)
+    if not projective:
         cls = plane.parallel_classes
         if len(cls) != q + 1:
             note(f"{len(cls)} parallel classes, expected {q+1}")
@@ -228,6 +210,38 @@ def validate(plane):
             if len(pts) != len(set(pts)) or len(set(pts)) != n:
                 note(f"class {ci} does not partition the point set")
     return ValidationReport(not fails, tuple(fails))
+
+
+def _incidence_faults(plane, projective):
+    """Point pairs not on exactly one line; for a projective plane also line
+    pairs not meeting in one point and points not on q + 1 lines."""
+    q = plane.order
+    n = plane.n_points
+    cover = {}
+    for i, ln in enumerate(plane.lines):
+        sl = sorted(set(ln))
+        for a in range(len(sl)):
+            for b in range(a + 1, len(sl)):
+                cover.setdefault((sl[a], sl[b]), []).append(i)
+    for x in range(n):
+        for y in range(x + 1, n):
+            hits = cover.get((x, y), [])
+            if len(hits) != 1:
+                yield f"pair ({x}, {y}) lies on {len(hits)} lines: {hits}"
+    if projective:
+        for i in range(len(plane.lines)):
+            si = set(plane.lines[i])
+            for j in range(i + 1, len(plane.lines)):
+                m = len(si & set(plane.lines[j]))
+                if m != 1:
+                    yield f"lines {i} and {j} meet in {m} points"
+        deg = [0] * n
+        for ln in plane.lines:
+            for p in set(ln):
+                deg[p] += 1
+        for p, d in enumerate(deg):
+            if d != q + 1:
+                yield f"point {p} lies on {d} lines, expected {q+1}"
 
 
 def plane_grid(ap, h_class, v_class):

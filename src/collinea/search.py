@@ -2,7 +2,7 @@
 
 Three search domains share one skeleton: DFS over domain points in ascending
 order, candidate images in ascending order, with per-line occupancy counters
-and the prune rule "partial count already >= incumbent".  Fields and planes
+and a prune rule against an incumbent (see _Incumbent).  Fields and planes
 use precomputed counter-key tables (placing a point touches one counter per
 eligible line); Z_n solves a linear congruence per placed pair to get, for
 each depth, the triple increment of every candidate image at once.
@@ -22,11 +22,14 @@ permutation is c*nu + d for exactly one normalized nu; over Z_n a unit fixing
 g maps one normalized minimizer to another, so repeats are dropped.  Planes
 carry no such group and are searched from the empty root.
 
-Witness extraction is a separate lex-ordered pass with the exact minimum as a
-fixed bound, so min_value, lex_least and parallel runs all report the same
-canonical witnesses.  With parallel_depth > 0 each root is split that many
-levels further into prefix tasks, which run in deterministic waves on one
-process pool per search.
+Every mode is one pass of one kernel per domain (_bucket_search, _zn_search).
+min_value and lex_least keep the first leaf that improves on the incumbent,
+which makes the witness left at the end the lex-first one at the minimum, so
+both modes and parallel runs report the same canonical witness.
+enumerate_all_min keeps every leaf at the least value seen, and first_below
+stops at the first leaf under its bound.  With parallel_depth > 0 each root
+is split that many levels further into prefix tasks, which run in
+deterministic waves on one process pool per search.
 """
 
 import os
@@ -100,6 +103,42 @@ def outcome_to_json(outcome):
     }
 
 
+# -- the incumbent -----------------------------------------------------------
+# Both kernels walk their tree in lex order and prune a node once its partial
+# count reaches limit; partial counts only grow along a path, so every leaf
+# they reach is offered here, and task results are merged the same way.
+
+
+class _Incumbent:
+    """The bound a search prunes against and the witnesses attaining it.
+
+    mode "best": the lex-first witness at the least value.  A seeded best
+    that no witness attains yet is only pruned above (held False); once a
+    witness holds it, prune at it, so later leaves must improve strictly.
+    mode "all": every witness at the least value, in the order offered; the
+    bound is always best + 1, and the list resets when best drops.
+    mode "first": the first witness below a fixed bound, given as a held best.
+    """
+
+    def __init__(self, best, held, mode):
+        self.best = best
+        self.held = held
+        self.mode = mode
+        self.witnesses = []
+        self.limit = best if held and mode != "all" else best + 1
+
+    def offer(self, value, witnesses):
+        """Merge a result; True once a "first" search may stop."""
+        if witnesses and value <= self.best:
+            if value == self.best and self.mode == "all":
+                self.witnesses.extend(witnesses)
+            elif value < self.best or not self.held:
+                self.best, self.held = value, True
+                self.witnesses = list(witnesses)
+                self.limit = value + 1 if self.mode == "all" else value
+        return self.mode == "first" and bool(self.witnesses)
+
+
 # -- bucket engine (fields and planes) ---------------------------------------
 # keys[row * q + choice] lists the counters touched by that placement; a
 # counter holding m points contributes C(m, 2) new triples when hit again.
@@ -123,9 +162,11 @@ def _bucket_unplace(keys_row, cnt):
         cnt[idx] -= 1
 
 
-def _bucket_value(q, keys, cnt_size, prefix, best, stats, node_limit):
-    """Exact minimum over completions of prefix, given an achievable incumbent
-    (or an unreachable sentinel).  Returns the possibly improved incumbent."""
+def _bucket_search(q, keys, cnt_size, prefix, best, held, mode, stats, node_limit):
+    """Lex-ordered DFS over the completions of prefix, pruning against the
+    incumbent (best, held) in mode; returns the incumbent's best and
+    witnesses after it (no witnesses when no leaf got under the bound)."""
+    inc = _Incumbent(best, held, mode)
     tri = _tri_table(q)
     cnt = [0] * cnt_size
     used = 0
@@ -133,56 +174,18 @@ def _bucket_value(q, keys, cnt_size, prefix, best, stats, node_limit):
     for x, y in enumerate(prefix):
         cost += _bucket_place(keys[x * q + y], cnt, tri)
         used |= 1 << y
-    if cost >= best:
-        stats[1] += 1
-        return best
-    start = len(prefix)
-
-    def rec(x, used, cost):
-        nonlocal best
-        if x == q:
-            best = cost
-            return
-        base = x * q
-        for y in range(q):
-            m = 1 << y
-            if used & m:
-                continue
-            ks = keys[base + y]
-            nc = cost + _bucket_place(ks, cnt, tri)
-            stats[0] += 1
-            if node_limit is not None and stats[0] > node_limit:
-                _bucket_unplace(ks, cnt)
-                raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
-            if nc >= best:
-                stats[1] += 1
-            else:
-                rec(x + 1, used | m, nc)
-            _bucket_unplace(ks, cnt)
-
-    rec(start, used, cost)
-    return best
-
-
-def _bucket_collect(q, keys, cnt_size, prefix, limit, first_only, stats, node_limit):
-    """All completions with count < limit, in lex order (or just the first)."""
-    tri = _tri_table(q)
-    cnt = [0] * cnt_size
-    used = 0
-    cost = 0
-    for x, y in enumerate(prefix):
-        cost += _bucket_place(keys[x * q + y], cnt, tri)
-        used |= 1 << y
-    out = []
+    limit = inc.limit
     if cost >= limit:
         stats[1] += 1
-        return out
+        return inc.best, inc.witnesses
     assign = list(prefix)
 
     def rec(x, used, cost):
+        nonlocal limit
         if x == q:
-            out.append(tuple(assign))
-            return bool(first_only)
+            stop = inc.offer(cost, [tuple(assign)])
+            limit = inc.limit
+            return stop
         base = x * q
         for y in range(q):
             m = 1 << y
@@ -192,22 +195,20 @@ def _bucket_collect(q, keys, cnt_size, prefix, limit, first_only, stats, node_li
             nc = cost + _bucket_place(ks, cnt, tri)
             stats[0] += 1
             if node_limit is not None and stats[0] > node_limit:
-                _bucket_unplace(ks, cnt)
                 raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
             if nc >= limit:
                 stats[1] += 1
-                _bucket_unplace(ks, cnt)
             else:
                 assign.append(y)
-                done = rec(x + 1, used | m, nc)
+                stop = rec(x + 1, used | m, nc)
                 assign.pop()
-                _bucket_unplace(ks, cnt)
-                if done:
+                if stop:
                     return True
+            _bucket_unplace(ks, cnt)
         return False
 
     rec(len(prefix), used, cost)
-    return out
+    return inc.best, inc.witnesses
 
 
 # -- Z_n engine --------------------------------------------------------------
@@ -233,58 +234,26 @@ def _zn_incr(n, ys, d):
     return incr
 
 
-def _zn_value(n, prefix, best, stats, node_limit):
+def _zn_search(n, prefix, best, held, mode, stats, node_limit):
+    """The Z_n counterpart of _bucket_search."""
+    inc = _Incumbent(best, held, mode)
     ys = list(prefix)
     used = 0
     cost = 0
     for d, y in enumerate(prefix):
         cost += _zn_incr(n, ys[:d], d)[y] if d >= 2 else 0
         used |= 1 << y
-    if cost >= best:
-        stats[1] += 1
-        return best
-
-    def rec(d, used, cost):
-        nonlocal best
-        if d == n:
-            best = cost
-            return
-        incr = _zn_incr(n, ys, d) if d >= 2 else [0] * n
-        for y in range(n):
-            m = 1 << y
-            if used & m:
-                continue
-            nc = cost + incr[y]
-            stats[0] += 1
-            if node_limit is not None and stats[0] > node_limit:
-                raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
-            if nc >= best:
-                stats[1] += 1
-            else:
-                ys.append(y)
-                rec(d + 1, used | m, nc)
-                ys.pop()
-
-    rec(len(prefix), used, cost)
-    return best
-
-
-def _zn_collect(n, prefix, limit, first_only, stats, node_limit):
-    ys = list(prefix)
-    used = 0
-    cost = 0
-    for d, y in enumerate(prefix):
-        cost += _zn_incr(n, ys[:d], d)[y] if d >= 2 else 0
-        used |= 1 << y
-    out = []
+    limit = inc.limit
     if cost >= limit:
         stats[1] += 1
-        return out
+        return inc.best, inc.witnesses
 
     def rec(d, used, cost):
+        nonlocal limit
         if d == n:
-            out.append(tuple(ys))
-            return bool(first_only)
+            stop = inc.offer(cost, [tuple(ys)])
+            limit = inc.limit
+            return stop
         incr = _zn_incr(n, ys, d) if d >= 2 else [0] * n
         for y in range(n):
             m = 1 << y
@@ -298,14 +267,14 @@ def _zn_collect(n, prefix, limit, first_only, stats, node_limit):
                 stats[1] += 1
             else:
                 ys.append(y)
-                done = rec(d + 1, used | m, nc)
+                stop = rec(d + 1, used | m, nc)
                 ys.pop()
-                if done:
+                if stop:
                     return True
         return False
 
     rec(len(prefix), used, cost)
-    return out
+    return inc.best, inc.witnesses
 
 
 # -- tasks and the process pool ----------------------------------------------
@@ -364,14 +333,16 @@ def _prefixes(size, roots, depth):
 
 
 class _Tasks:
-    """Runs the value and collect kernels over the prefix tasks, merging
-    results in task order.  Sequentially each task starts from the previous
-    tasks' incumbent; with parallel_depth > 0 the tasks go to one process
-    pool in chunked waves, so the outcome never depends on completion timing.
-    Use as a context manager: leaving it shuts the pool down."""
+    """Runs one kernel over the prefix tasks, merging (value, witnesses)
+    results through one _Incumbent in task order.  Sequentially each task
+    starts from the incumbent the previous tasks left; with parallel_depth > 0
+    the tasks go to one process pool in chunked waves, every task of a wave
+    starting from the incumbent at the wave's start, so the outcome never
+    depends on completion timing.  Use as a context manager: leaving it shuts
+    the pool down."""
 
-    def __init__(self, cfg, kernels, ctx, prefixes, stats):
-        self.value_kernel, self.collect_kernel = kernels
+    def __init__(self, cfg, kernel, ctx, prefixes, stats):
+        self.kernel = kernel
         self.ctx = ctx
         self.node_limit = cfg.node_limit
         self.stats = stats
@@ -394,9 +365,9 @@ class _Tasks:
     def _over_limit(self):
         return NodeLimitExceeded(f"expanded more than {self.node_limit} nodes")
 
-    def _run(self, kernel, wave, bounds):
+    def _run(self, wave, bounds):
         if self.pool is None:
-            return [kernel(*self.ctx, p, *bounds, self.stats, self.node_limit)
+            return [self.kernel(*self.ctx, p, *bounds, self.stats, self.node_limit)
                     for p in wave]
         budget = None
         if self.node_limit is not None:
@@ -404,7 +375,7 @@ class _Tasks:
             if budget <= 0:
                 raise self._over_limit()
         out = []
-        args = [(kernel, self.ctx, p, bounds, budget) for p in wave]
+        args = [(self.kernel, self.ctx, p, bounds, budget) for p in wave]
         for r, nodes, prunes in self.pool.map(_task, args):
             self.stats[0] += nodes
             self.stats[1] += prunes
@@ -413,47 +384,42 @@ class _Tasks:
             raise self._over_limit()
         return out
 
-    def value(self, best):
+    def search(self, best, held, mode):
+        """The _Incumbent after every task, or after the first hit in mode
+        "first"."""
+        top = _Incumbent(best, held, mode)
         for wave in self.waves:
-            for r in self._run(self.value_kernel, wave, (best,)):
-                best = min(best, r)
-        return best
-
-    def collect(self, limit, first_only):
-        out = []
-        for wave in self.waves:
-            for r in self._run(self.collect_kernel, wave, (limit, first_only)):
-                if not (first_only and out):
-                    out.extend(r)
-            if first_only and out:
-                break
-        return out
+            for value, witnesses in self._run(wave, (top.best, top.held, mode)):
+                if top.offer(value, witnesses):
+                    return top
+        return top
 
 
 # -- orchestration -----------------------------------------------------------
 
 
-def _run_search(cfg, size, roots, kernels, ctx, recount, seed_value=None, expand=None):
+def _run_search(cfg, size, roots, kernel, ctx, recount, seed_value=None, expand=None):
     """Run cfg's mode over the completions of roots.  expand maps the
     minimizers found under the roots to every minimizer, in lex order."""
     t0 = time.perf_counter()
     stats = [0, 0]
-    with _Tasks(cfg, kernels, ctx, _prefixes(size, roots, cfg.parallel_depth),
+    with _Tasks(cfg, kernel, ctx, _prefixes(size, roots, cfg.parallel_depth),
                 stats) as tasks:
         if cfg.mode == "first_below":
-            found = tasks.collect(cfg.bound, True)
-            psi = recount(found[0]) if found else None
+            top = tasks.search(cfg.bound, True, "first")
+            psi = top.best if top.witnesses else None
         else:
-            best = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
-            if best is None:
-                best = comb(size, 3) + 1
-            psi = tasks.value(best)
-            # min_value and lex_least report the canonical lex-least witness
-            found = tasks.collect(psi + 1, cfg.mode != "enumerate_all_min")
-            if not found:
+            seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
+            if seed is None:
+                seed = comb(size, 3) + 1
+            mode = "all" if cfg.mode == "enumerate_all_min" else "best"
+            top = tasks.search(seed, False, mode)
+            if not top.witnesses:
                 # only possible when the seeded incumbent undercut the true
-                # minimum, so nothing attained the reported value
-                raise ValueError(f"upper bound seed {best} is below the minimum")
+                # minimum, so nothing attained it
+                raise ValueError(f"upper bound seed {seed} is below the minimum")
+            psi = top.best
+    found = top.witnesses
     if cfg.mode == "enumerate_all_min" and expand is not None:
         found = expand(found)
     witnesses = tuple(found)
@@ -496,7 +462,7 @@ def min_triples_field(f, cfg=None):
     def recount(w):
         return len(list_triples(PermGraph(f, w)))
 
-    return _run_search(cfg, q, [(0, 1)], (_bucket_value, _bucket_collect),
+    return _run_search(cfg, q, [(0, 1)], _bucket_search,
                        (q, _field_keys(f), q * q), recount, seed,
                        lambda ws: _y_affine_images(f, range(1, q), ws))
 
@@ -513,7 +479,7 @@ def min_triples_zn(n, cfg=None):
     def recount(w):
         return count_triples(PermGraph(ring, w))
 
-    return _run_search(cfg, n, roots, (_zn_value, _zn_collect), (n,), recount,
+    return _run_search(cfg, n, roots, _zn_search, (n,), recount,
                        expand=lambda ws: _y_affine_images(ring, units, ws))
 
 
@@ -539,7 +505,7 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
         gp = transversal_from_bijection(ap, h_class, v_class, w)
         return count_triples_plane(gp)
 
-    return _run_search(cfg, q, [()], (_bucket_value, _bucket_collect),
+    return _run_search(cfg, q, [()], _bucket_search,
                        (q, keys, len(ap.lines)), recount)
 
 
@@ -559,9 +525,7 @@ def enumerate_minimizers(target, cfg=None):
     ring targets come back as PermGraphs, plane targets as column tuples."""
     cfg = replace(cfg or SearchConfig(), mode="enumerate_all_min")
     out = _dispatch(target, cfg)
-    if isinstance(target, FieldSpec):
-        return [PermGraph(target, w) for w in out.witnesses]
-    if isinstance(target, RingSpec):
+    if isinstance(target, (FieldSpec, RingSpec)):
         return [PermGraph(target, w) for w in out.witnesses]
     return list(out.witnesses)
 

@@ -10,10 +10,8 @@ from collinea.algebra import (
     FFMatrix,
     FieldSpec,
     RingSpec,
-    field_arith,
     field_make,
     nullspace,
-    ring_arith,
 )
 from collinea.errors import DivisionByZero, NotPrimePower
 
@@ -84,29 +82,6 @@ def test_encoding_is_base_p():
     # 5 encodes 2 + x; doubling it gives 1 + 2x = 7
     assert f.add(5, 5) == 7
     assert f.mul(3, 3) == f.neg(1)  # x^2 = -1 under modulus x^2 + 1
-
-
-def test_dispatcher_examples():
-    f5, f7 = field_make(5), field_make(7)
-    assert field_arith(f5, "inv", 2) == 3
-    assert field_arith(field_make(4), "mul", 2, 3) == 1
-    assert field_arith(f7, "div", 3, 2) == 5
-    assert field_arith(f5, "pow", 2, 3) == 3
-    assert ring_arith(RingSpec(4), "mul", 2, 2) == 0
-    assert ring_arith(RingSpec(6), "add", 5, 3) == 2
-    assert ring_arith(RingSpec(9), "neg", 4) == 5
-
-
-def test_dispatcher_validation():
-    f5 = field_make(5)
-    with pytest.raises(ValueError):
-        field_arith(f5, "add", 5, 0)
-    with pytest.raises(ValueError):
-        field_arith(f5, "frobnicate", 1)
-    with pytest.raises(ValueError):
-        ring_arith(RingSpec(6), "div", 4, 2)
-    with pytest.raises(ValueError):
-        ring_arith(RingSpec(6), "inv", 5)
 
 
 def test_division_by_zero():

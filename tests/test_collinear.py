@@ -16,7 +16,6 @@ from collinea.collinear import (
     count_triples,
     count_triples_plane,
     fractional_perm,
-    induced_transversal,
     is_collinear,
     list_triples,
     reciprocal_perm,
@@ -208,10 +207,11 @@ def test_reciprocal_odd_q_is_a_minimizer():
 
 def test_plane_count_examples():
     f3 = field_make(3)
-    gp = induced_transversal(PermGraph(f3, (0, 1, 2)))
+    gp = transversal_from_bijection(affine_plane(f3), 3, 0, (0, 1, 2))
     assert count_triples_plane(gp) == 1
     f5 = field_make(5)
-    gp5 = induced_transversal(closed_form_minimizer(f5))
+    gp5 = transversal_from_bijection(affine_plane(f5), 5, 0,
+                                     closed_form_minimizer(f5).images)
     assert count_triples_plane(gp5) == 2
     assert count_quadruples(gp5) == 0
 
@@ -220,11 +220,12 @@ def test_plane_count_examples():
 def test_plane_count_matches_field_count(q):
     rng = random.Random(4200 + q)
     f = field_make(q)
+    pl = affine_plane(f)
     base = list(range(q))
     for _ in range(20):
         rng.shuffle(base)
         perm = PermGraph(f, tuple(base))
-        gp = induced_transversal(perm)
+        gp = transversal_from_bijection(pl, q, 0, perm.images)
         assert count_triples_plane(gp) == count_triples(perm)
         assert count_quadruples(gp) == count_quadruples(perm)
 
@@ -232,7 +233,7 @@ def test_plane_count_matches_field_count(q):
 def test_genperm_validation():
     f3 = field_make(3)
     pl = affine_plane(f3)
-    good = induced_transversal(PermGraph(f3, (0, 1, 2)))
+    good = transversal_from_bijection(pl, 3, 0, (0, 1, 2))
     with pytest.raises(ClassesNotDistinct):
         GenPerm(pl, 3, 3, good.cells)
     with pytest.raises(PointNotInSet):

@@ -3,6 +3,7 @@ plus serialization round-trips."""
 
 import itertools
 import json
+import signal
 from collections import Counter
 
 import pytest
@@ -62,8 +63,8 @@ def test_projective_construction(q):
     assert set(counts.values()) == {1}
     for i, j in itertools.combinations(range(len(pp.lines)), 2):
         assert len(set(pp.lines[i]) & set(pp.lines[j])) == 1
-    for p in range(n):
-        assert len(pp.lines_through(p)) == q + 1
+    degree = Counter(p for ln in pp.lines for p in ln)
+    assert [degree[p] for p in range(n)] == [q + 1] * n
     assert validate(pp).ok
 
 
@@ -136,6 +137,39 @@ def test_validate_flags_flipped_incidence():
     rep = validate(bad)
     assert not rep.ok
     assert any("0 lines" in msg for msg in rep.failures)
+
+
+@pytest.mark.parametrize("kind", ["projective", "affine"])
+def test_load_rejects_oversized_order_promptly(kind):
+    # order 3000 means about 9e6 points and 4e13 point pairs; three lines
+    # already condemn the file, so validate must not sweep the pairs
+    q = 3000
+    obj = {"type": kind, "order": q, "points": q * q,
+           "lines": [[0, 1, 2], [0, 3, 4], [1, 3, 5]]}
+    if kind == "projective":
+        obj["points"] += q + 1
+    else:
+        obj["parallel_classes"] = [[0], [1], [2]]
+
+    def stuck(signum, frame):
+        raise AssertionError("validate is sweeping an oversized plane")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        with pytest.raises(NotAPlane, match="line count 3,"):
+            load_plane(json.dumps(obj))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_validate_reports_out_of_range_points():
+    pp = projective_plane(field_make(2))
+    lines = [list(ln) for ln in pp.lines]
+    lines[0][0] = 9  # the Fano plane has points 0..6
+    rep = validate(ProjectivePlane(2, tuple(tuple(sorted(ln)) for ln in lines)))
+    assert rep.failures == ("line 0 contains out-of-range point 9",)
 
 
 def test_save_load_round_trip():

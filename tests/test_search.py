@@ -199,7 +199,27 @@ def test_enumeration_has_q2_q_minus_1_minimizers(q):
     assert list(out.witnesses) == sorted(set(out.witnesses))
 
 
-@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
+def test_seed_below_the_minimum_is_rejected():
+    for kind, n, psi in (("field", 7, 3), ("zn", 9, 5), ("plane", "ag_2_9", 4)):
+        for mode in ("min_value", "lex_least", "enumerate_all_min"):
+            with pytest.raises(ValueError, match="below the minimum"):
+                _search(kind, n, SearchConfig(mode=mode, upper_bound_seed=psi - 1))
+
+
+@pytest.mark.parametrize("kind, n, mode, nodes", [
+    ("field", 9, "min_value", 4257),
+    ("field", 9, "enumerate_all_min", 5953),
+    ("zn", 9, "min_value", 15246),
+    ("zn", 9, "enumerate_all_min", 18676),
+])
+def test_sequential_node_counts(kind, n, mode, nodes):
+    # one pass over the tree: a second (collect) pass would add thousands
+    assert _search(kind, n, SearchConfig(mode=mode)).nodes_expanded == nodes
+
+
+# in the Z_n cases a parallel wave holds tasks whose own minimum lies above
+# the best an earlier task of the same wave found; the merge must drop them
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("zn", 10), ("plane", "ag_2_9")])
 def test_parallel_equals_sequential_every_mode(kind, n):
     for mode in MODES:
         bound = 5 if mode == "first_below" else None

@@ -87,11 +87,16 @@ class FieldSpec:
         return range(self.q)
 
     # -- arithmetic -------------------------------------------------------
+    # Extension fields index dense tables, kept on the instance by _load_ops
+    # on first use so an op costs one list index and no hash.  The ops stay
+    # class attributes: wrapping them on the class must reach every call.
+
+    _ops = None
 
     def add(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
-        t = _tables(self)
+        t = self._ops or self._load_ops()
         if t is not None:
             return t.add[a][b]
         p = self.p
@@ -99,12 +104,17 @@ class FieldSpec:
         return _undigits([(x + y) % p for x, y in zip(da, db)], p)
 
     def sub(self, a, b):
+        if self.k == 1:
+            return (a - b) % self.p
+        t = self._ops or self._load_ops()
+        if t is not None:
+            return t.add[a][t.neg[b]]
         return self.add(a, self.neg(b))
 
     def neg(self, a):
         if self.k == 1:
             return (-a) % self.p
-        t = _tables(self)
+        t = self._ops or self._load_ops()
         if t is not None:
             return t.neg[a]
         p = self.p
@@ -113,7 +123,7 @@ class FieldSpec:
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
-        t = _tables(self)
+        t = self._ops or self._load_ops()
         if t is not None:
             return t.mul[a][b]
         return self._polymul(a, b)
@@ -123,7 +133,7 @@ class FieldSpec:
             raise DivisionByZero("inverse of zero")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        t = _tables(self)
+        t = self._ops or self._load_ops()
         if t is not None:
             return t.inv[a]
         return self.pow_(a, self.q - 2)
@@ -143,6 +153,19 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return r
+
+    def _load_ops(self):
+        """The shared op tables of this field, stored on the instance (None
+        above _TABLE_LIMIT).  They stay out of __eq__, __hash__, repr and
+        pickles, which see only p, k and modulus."""
+        t = _tables(self)
+        object.__setattr__(self, "_ops", t)
+        return t
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_ops", None)
+        return state
 
     def _polymul(self, a, b):
         p, k = self.p, self.k

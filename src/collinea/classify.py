@@ -4,7 +4,14 @@ A minimizer's graph, lifted to PG(2, q) and joined with the two infinite
 points [1:0:0] and [0:1:0], should be a nondegenerate conic plus one external
 point.  This module builds that certificate from scratch (conic fitting, line
 counting, nucleus checks) so it serves as independent evidence rather than a
-restatement."""
+restatement: no check reads the fractional parameters it is compared with.
+
+Each check works on the q+2 lifted points, not on a sweep of the q^2+q+1
+lines.  The drop-one conic search fits at most six 5-point conics and tests
+the remaining points against them; a point is an internal nucleus when its
+joins with the other points are q+1 distinct lines; the covered lines are the
+distinct secants plus, at each point, the q+1 lines through it less its
+distinct joins.  A certificate costs O(q^2) field operations."""
 
 import itertools
 from dataclasses import dataclass
@@ -33,19 +40,14 @@ def normalize_point(f, v):
     return (f.mul(x, inv), f.mul(y, inv), f.mul(z, inv))
 
 
-def _coeff_triples(q):
-    for a in range(q):
-        for b in range(q):
-            yield (a, b, 1)
-    for a in range(q):
-        yield (a, 1, 0)
-    yield (1, 0, 0)
-
-
-def _on_line(f, coeffs, pt):
-    a, b, c = coeffs
-    x, y, z = pt
-    return f.add(f.add(f.mul(a, x), f.mul(b, y)), f.mul(c, z)) == 0
+def _join(f, p, r):
+    """The line through two distinct points, as normalized coefficients."""
+    sub, mul = f.sub, f.mul
+    return normalize_point(f, (
+        sub(mul(p[1], r[2]), mul(p[2], r[1])),
+        sub(mul(p[2], r[0]), mul(p[0], r[2])),
+        sub(mul(p[0], r[1]), mul(p[1], r[0])),
+    ))
 
 
 @dataclass(frozen=True)
@@ -80,27 +82,29 @@ def lift_graph(perm):
 
 
 def is_internal_nucleus(omega, p):
-    """Every line through p meets the point set in exactly one other point?"""
+    """Every line through p meets the point set in exactly one other point?
+    That holds exactly when the joins of p with the other points are
+    pairwise distinct and cover all q+1 lines through p."""
     if p not in omega.points:
         raise PointNotInSet(f"{p} is not in the lifted set")
     f = omega.source.ctx
-    for coeffs in _coeff_triples(f.q):
-        if not _on_line(f, coeffs, p):
-            continue
-        hits = sum(1 for pt in omega.points if _on_line(f, coeffs, pt))
-        if hits != 2:
-            return False
-    return True
+    others = [r for r in omega.points if r != p]
+    return len(others) == f.q + 1 and len({_join(f, p, r) for r in others}) == len(others)
 
 
 def count_covered_lines(points, f):
-    """How many of the q^2+q+1 projective lines meet the set at all."""
-    pts = list(points)
-    return sum(
-        1
-        for coeffs in _coeff_triples(f.q)
-        if any(_on_line(f, coeffs, p) for p in pts)
-    )
+    """How many of the q^2+q+1 projective lines meet the set at all: the
+    distinct secants, plus at each point the lines through it that join it
+    to no other point of the set (its tangents)."""
+    pts = sorted({normalize_point(f, p) for p in points})
+    secants = set()
+    joins_at = [set() for _ in pts]
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        line = _join(f, pts[i], pts[j])
+        secants.add(line)
+        joins_at[i].add(line)
+        joins_at[j].add(line)
+    return len(secants) + sum(f.q + 1 - len(js) for js in joins_at)
 
 
 def conic_value(f, coeffs, pt):
@@ -170,6 +174,40 @@ def classify_conic(coeffs, f):
     return "nondegenerate_irreducible" if det != 0 else "degenerate"
 
 
+def _drop_one_hits(candidates, f):
+    """(p, conic) for each point p of the sorted candidates whose rest admits
+    a unique conic, and that conic misses p.
+
+    Every conic through the rest passes through its first five points, which
+    are among the first six candidates, so at most six 5-point fits decide
+    every rest: when the five pin a unique conic the rest has a conic exactly
+    when all of its points lie on that one, and a 1-dimensional kernel
+    normalizes to the same coefficients whichever points fit it.  Only five
+    points that leave a pencil or more (Ambiguous) send the whole rest to
+    fit_conic."""
+    five_fits = {}
+    hits = []
+    for i, p in enumerate(candidates):
+        rest = candidates[:i] + candidates[i + 1 :]
+        key = min(i, 5)
+        if key not in five_fits:
+            try:
+                five_fits[key] = fit_conic(rest[:5], f)
+            except Ambiguous:
+                five_fits[key] = None
+        cert = five_fits[key]
+        if cert is None:
+            try:
+                cert = fit_conic(rest, f)
+            except (NoConic, Ambiguous):
+                continue
+        elif any(conic_value(f, cert.coeffs, pt) for pt in rest[5:]):
+            continue
+        if conic_value(f, cert.coeffs, p) != 0:
+            hits.append((p, cert))
+    return hits
+
+
 def _certify(perm):
     """certify_minimizer's checks; returns the certificate with the lifted
     set and the recognized fractional parameters it was checked against."""
@@ -180,16 +218,7 @@ def _certify(perm):
             "minimizer_precondition", f"permutation has more than {(q-1)//2} triples"
         )
     omega = lift_graph(perm)
-    candidates = sorted(omega.points)
-    hits = []
-    for p in candidates:
-        rest = [pt for pt in candidates if pt != p]
-        try:
-            cert = fit_conic(rest, f)
-        except (NoConic, Ambiguous):
-            continue
-        if conic_value(f, cert.coeffs, p) != 0:
-            hits.append((p, cert))
+    hits = _drop_one_hits(sorted(omega.points), f)
     if not hits:
         raise CertificateFailure("conic_fit", "no drop-one subset admits a unique conic")
     if len(hits) > 1:

@@ -207,7 +207,10 @@ def _bucket_search(q, keys, cnt_size, prefix, best, held, mode, stats, node_limi
             _bucket_unplace(ks, cnt)
         return False
 
-    rec(len(prefix), used, cost)
+    try:
+        rec(len(prefix), used, cost)
+    finally:
+        del rec  # rec is in its own closure: unbind it so refcounting frees the search state
     return inc.best, inc.witnesses
 
 
@@ -273,7 +276,10 @@ def _zn_search(n, prefix, best, held, mode, stats, node_limit):
                     return True
         return False
 
-    rec(len(prefix), used, cost)
+    try:
+        rec(len(prefix), used, cost)
+    finally:
+        del rec  # rec is in its own closure: unbind it so refcounting frees the search state
     return inc.best, inc.witnesses
 
 
@@ -327,8 +333,11 @@ def _prefixes(size, roots, depth):
             gen(pre, left - 1)
             pre.pop()
 
-    for root in roots:
-        gen(list(root), depth)
+    try:
+        for root in roots:
+            gen(list(root), depth)
+    finally:
+        del gen  # gen is in its own closure, as rec is in the kernels
     return out
 
 

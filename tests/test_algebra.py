@@ -2,6 +2,7 @@
 brute-force kernel oracle for the nullspace routine."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from collinea.algebra import (
     FFMatrix,
     FieldSpec,
     RingSpec,
+    _digits,
+    _undigits,
     field_make,
     nullspace,
 )
@@ -82,6 +85,59 @@ def test_encoding_is_base_p():
     # 5 encodes 2 + x; doubling it gives 1 + 2x = 7
     assert f.add(5, 5) == 7
     assert f.mul(3, 3) == f.neg(1)  # x^2 = -1 under modulus x^2 + 1
+
+
+FIELD_OPS = ("add", "sub", "neg", "mul", "inv", "div", "pow_")
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+def test_table_ops_match_polynomial_arithmetic(q):
+    """Every op over every pair against digit-wise addition and _polymul."""
+    f = field_make(q)
+    p, k = f.p, f.k
+    digs = [_digits(e, p, k) for e in range(q)]
+    for a in range(q):
+        neg = _undigits([(-x) % p for x in digs[a]], p)
+        assert f.neg(a) == neg
+        if a:
+            assert f._polymul(a, f.inv(a)) == 1
+        power = 1
+        for e in range(4):
+            assert f.pow_(a, e) == power
+            power = f._polymul(power, a)
+        for b in range(q):
+            assert f.add(a, b) == _undigits([(x + y) % p for x, y in zip(digs[a], digs[b])], p)
+            assert f.sub(a, b) == _undigits([(x - y) % p for x, y in zip(digs[a], digs[b])], p)
+            assert f.mul(a, b) == f._polymul(a, b)
+            if b:
+                assert f._polymul(f.div(a, b), b) == a
+
+
+def test_loaded_tables_leave_identity_alone():
+    used, fresh = field_make(9), field_make(9)
+    assert used.sub(2, 3) == 8  # loads the op tables of `used` only
+    assert used == fresh and hash(used) == hash(fresh) == hash((3, 2, (1, 0, 1)))
+    assert repr(used) == repr(fresh) == "FieldSpec(p=3, k=2, modulus=(1, 0, 1))"
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == used and copy.mul(3, 3) == 2
+    assert pickle.dumps(used) == pickle.dumps(fresh)  # the tables stay behind
+    # no instance attribute hides an op from a wrapper set on the class
+    assert not set(vars(used)) & set(FIELD_OPS)
+
+
+def test_ops_defined_on_the_class_see_every_call(monkeypatch):
+    f = field_make(9)
+    f.mul(1, 1)
+    calls = []
+    plain = FieldSpec.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return plain(self, a, b)
+
+    monkeypatch.setattr(FieldSpec, "mul", counted)
+    assert f.mul(3, 3) == 2 and f.div(2, 3) == f.mul(2, f.inv(3))
+    assert len(calls) == 3
 
 
 def test_division_by_zero():

@@ -1,5 +1,7 @@
 """Projective lift, conic fitting, and the minimizer certificate chain."""
 
+import hashlib
+import json
 import random
 from math import comb
 
@@ -8,6 +10,8 @@ import pytest
 from collinea.algebra import field_make
 from collinea.classify import (
     ConicCert,
+    LiftedGraph,
+    _drop_one_hits,
     certificate_bundle,
     certify_minimizer,
     classify_conic,
@@ -33,6 +37,7 @@ from collinea.errors import (
     PointNotInSet,
 )
 from collinea.plane import projective_plane
+from collinea.search import enumerate_minimizers
 
 
 def test_normalize_point():
@@ -100,13 +105,7 @@ def test_covered_lines_against_plane_module():
     f = field_make(q)
     pp = projective_plane(f)
     om = lift_graph(closed_form_minimizer(f))
-    index = {}
-    for x in range(q):
-        for y in range(q):
-            index[(x, y, 1)] = x * q + y
-    for x in range(q):
-        index[(x, 1, 0)] = q * q + x
-    index[(1, 0, 0)] = q * q + q
+    index = {p: i for i, p in enumerate(_proj_points(q))}
     pts = {index[p] for p in om.points}
     oracle = sum(1 for ln in pp.lines if pts & set(ln))
     assert count_covered_lines(om.points, f) == oracle
@@ -204,3 +203,140 @@ def test_certificate_bundle_shape():
     assert b["nucleus_checks"] == {"[1:0:0]": True, "[0:1:0]": True}
     assert b["lemma_ab_zero"] is True
     assert b["fractional_params"] == [1, 0, 4]
+
+
+def _proj_points(q):
+    """PG(2, q) points in the order projective_plane numbers them."""
+    return ([(x, y, 1) for x in range(q) for y in range(q)]
+            + [(x, 1, 0) for x in range(q)] + [(1, 0, 0)])
+
+
+def _on_line(f, coeffs, pt):
+    (a, b, c), (x, y, z) = coeffs, pt
+    return f.add(f.add(f.mul(a, x), f.mul(b, y)), f.mul(c, z)) == 0
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_count_covered_lines_against_line_sets(q):
+    """Oracle: the lines of projective_plane that contain a point of the set,
+    on random sets with repeats and rescaled copies of their points."""
+    f = field_make(q)
+    pts = _proj_points(q)
+    index = {p: i for i, p in enumerate(pts)}
+    lines = [set(ln) for ln in projective_plane(f).lines]
+    rng = random.Random(q)
+    sets = [[], [pts[0]], [pts[-1]], [pts[3], pts[3]]]
+    for n in (2, 3, 4, q, q + 2, 2 * q, 3 * q):
+        for _ in range(6):
+            sets.append([rng.choice(pts) for _ in range(n)])
+    for chosen in sets:
+        scaled = [tuple(f.mul(c, v) for v in p)
+                  for p in chosen for c in rng.sample(range(1, q), min(2, q - 1))]
+        hit = {index[p] for p in chosen}
+        oracle = sum(1 for ln in lines if ln & hit)
+        assert count_covered_lines(chosen, f) == oracle
+        assert count_covered_lines(scaled, f) == oracle
+
+
+def _nucleus_by_line_sweep(omega, p):
+    """Sweep all q^2+q+1 lines: does each one through p hold exactly one
+    other point of the set?"""
+    f = omega.source.ctx
+    for coeffs in _proj_points(f.q):
+        if _on_line(f, coeffs, p):
+            if sum(1 for r in omega.points if _on_line(f, coeffs, r)) != 2:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_is_internal_nucleus_against_line_sweep(q):
+    f = field_make(q)
+    rng = random.Random(100 + q)
+    pts = _proj_points(q)
+    omegas = []
+    for _ in range(6):
+        images = list(range(q))
+        rng.shuffle(images)
+        omegas.append(lift_graph(PermGraph(f, tuple(images))))
+    identity = lift_graph(PermGraph(f, tuple(range(q))))
+    omegas.append(identity)
+    # image 0 taken twice: y = 0 holds two points of the set, y = q-1 none
+    omegas.append(LiftedGraph(identity.points - {(q - 1, q - 1, 1)} | {(q - 1, 0, 1)},
+                              identity.source))
+    for n in (3, q + 1, q + 2, q + 3):
+        omegas.append(LiftedGraph(frozenset(rng.sample(pts, n)), identity.source))
+    seen = set()
+    for om in omegas:
+        for p in sorted(om.points):
+            got = is_internal_nucleus(om, p)
+            assert got == _nucleus_by_line_sweep(om, p), (om.points, p)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def _drop_one_by_full_fits(candidates, f):
+    """The drop-one search done naively: one fit of every q+1 point rest."""
+    hits = []
+    for p in candidates:
+        rest = [pt for pt in candidates if pt != p]
+        try:
+            cert = fit_conic(rest, f)
+        except (NoConic, Ambiguous):
+            continue
+        if conic_value(f, cert.coeffs, p) != 0:
+            hits.append((p, cert))
+    return hits
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+def test_drop_one_hits_match_full_fits(q):
+    f = field_make(q)
+    rng = random.Random(200 + q)
+    pts = _proj_points(q)
+    sets = [sorted(lift_graph(closed_form_minimizer(f)).points)]
+    for _ in range(8):
+        images = list(range(q))
+        rng.shuffle(images)
+        sets.append(sorted(lift_graph(PermGraph(f, tuple(images))).points))
+    # the line x = 0 holds the first points in sorted order, so the five
+    # leading points of most rests lie four on a line and fit a pencil
+    x_axis = [(0, y, 1) for y in range(q)]
+    for k in (4, 5, q):
+        for _ in range(4):
+            extra = rng.sample([p for p in pts if p[0] or p[2] != 1], q + 2 - k)
+            sets.append(sorted(set(x_axis[:k]) | set(extra)))
+    # two lines and one point off both: only dropping that point leaves a
+    # unique conic (the line pair xy = 0), reached through the full fit
+    pair = [(0, 0, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1), (2, 2, 1)]
+    sets.append(pair)
+    found = 0
+    for cand in sets:
+        got = _drop_one_hits(cand, f)
+        assert got == _drop_one_by_full_fits(cand, f)
+        found += len(got)
+    assert found
+    assert _drop_one_hits(pair, f) == [((2, 2, 1), ConicCert((0, 0, 1, 0, 0, 0), None, False, False))]
+
+
+def _bundle_digest(perms):
+    h = hashlib.sha256()
+    for perm in perms:
+        h.update(json.dumps(certificate_bundle(perm), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_certificate_bundles_are_pinned():
+    """Byte-for-byte bundles of every GF(9) minimizer and a fixed GF(25)
+    sample of fractional maps, as the line-sweep certification gave them."""
+    gf9 = enumerate_minimizers(field_make(9))
+    assert len(gf9) == 648
+    f25 = field_make(25)
+    rng = random.Random(25)
+    sample = []
+    while len(sample) < 24:
+        a, b, g = (rng.randrange(25) for _ in range(3))
+        if f25.mul(a, g) != b:
+            sample.append(fractional_perm(f25, FracParams(a, b, g)))
+    assert _bundle_digest(gf9) == "a684ab4638de0d9abacf8e0c1914994389234dd55b52d25f87dd27a212d15fbb"
+    assert _bundle_digest(sample) == "9f652e2fdf7f951fea496da14a054272602ea511aaeb4b1fd6785cf969baa669"

@@ -2,6 +2,7 @@
 semantics, determinism, and parallel agreement."""
 
 import functools
+import gc
 import itertools
 
 import pytest
@@ -215,6 +216,21 @@ def test_seed_below_the_minimum_is_rejected():
 def test_sequential_node_counts(kind, n, mode, nodes):
     # one pass over the tree: a second (collect) pass would add thousands
     assert _search(kind, n, SearchConfig(mode=mode)).nodes_expanded == nodes
+
+
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8)])
+def test_searches_leave_no_reference_cycles(kind, n):
+    """The recursive kernels are closures over their own name; unless they
+    drop it, every search's state waits for the cyclic collector."""
+    _search(kind, n, SearchConfig())
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in ("min_value", "enumerate_all_min"):
+            _search(kind, n, SearchConfig(mode=mode))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # in the Z_n cases a parallel wave holds tasks whose own minimum lies above

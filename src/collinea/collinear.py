@@ -175,7 +175,7 @@ def _plane_line_count(gp, r):
     for i, ln in enumerate(gp.plane.lines):
         if i in skip:
             continue
-        m = sum(1 for p in ln if p in chosen)
+        m = len(chosen.intersection(ln))
         if m >= r:
             total += comb(m, r)
     return total

@@ -7,20 +7,27 @@ use precomputed counter-key tables (placing a point touches one counter per
 eligible line); Z_n solves a linear congruence per placed pair to get, for
 each depth, the triple increment of every candidate image at once.
 
-Fields and Z_n are searched modulo the y-affine group y -> c*y + d, with c a
-nonzero field element or a unit mod n.  The map (x, y) -> (x, c*y + d) takes
-lines to lines, so c*sigma + d has the same triple count as sigma, and the set
-of permutations below any count is closed under the group.  A translation
-makes sigma(0) = 0; a scaling then moves sigma(1) to 1 over a field, and over
-Z_n to g = gcd(sigma(1), n), the least element of its unit orbit.  The search
-therefore runs only under the roots (0, 1), respectively (0, g) for each
-divisor g < n of n in ascending order.  The lex-first member of a closed set
-lies under the first root that holds any member, so min_value, lex_least and
-first_below are exact there.  enumerate_all_min expands the minimizers found
-under the roots by the whole group and sorts them.  Over a field each
-permutation is c*nu + d for exactly one normalized nu; over Z_n a unit fixing
-g maps one normalized minimizer to another, so repeats are dropped.  Planes
-carry no such group and are searched from the empty root.
+Every domain is searched modulo a group G of column maps beta, which act on a
+permutation sigma by sigma -> beta o sigma and keep its triple count:
+- fields: y -> c*y + d, c nonzero; (x, y) -> (x, c*y + d) takes lines to lines
+- Z_n: y -> c*y + d, c a unit mod n; the determinant is scaled by c
+- planes: the column group of the (h, v) grid, computed per search
+  (_column_group).  beta must keep every row and map every line outside the
+  two grid classes onto such a line.  Each such line is a row -> column
+  permutation pi_L, so beta = pi_L o pi_L0^-1 for one fixed L0, and each of
+  those q(q-1) candidates is checked against the set of all pi_L.  For
+  AG(2, q) all of them pass at every class pair; the order-9 fixtures at
+  classes (0, 1) have groups of order 1 to 72.
+The set of permutations below any count is closed under G.  If beta took the
+2-prefix of its lex-first member sigma below the prefix itself, beta o sigma
+would be a smaller member, so sigma lies under an orbit-least 2-prefix (the
+orbit-representative argument of McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 1998).  _run_search takes G as a list of column maps, finds those
+roots by marking orbits in lex order, and searches only under them, in
+ascending order; min_value, lex_least and first_below are exact there.  The
+roots are (0, 1) over a field and (0, g) for each divisor g < n of n over Z_n.
+enumerate_all_min expands the minimizers found under the roots by G, drops
+repeats and sorts.
 
 Every mode is one pass of one kernel per domain (_bucket_search, _zn_search).
 min_value and lex_least keep the first leaf that improves on the incumbent,
@@ -407,13 +414,31 @@ class _Tasks:
 # -- orchestration -----------------------------------------------------------
 
 
-def _run_search(cfg, size, roots, kernel, ctx, recount, seed_value=None, expand=None):
-    """Run cfg's mode over the completions of roots.  expand maps the
-    minimizers found under the roots to every minimizer, in lex order."""
+# Column maps and their images are built as tuple([...]): tuple() of a
+# generator allocates ten slots and shrinks, so it never reuses the tuples its
+# frees put on the free list, and thousands stay allocated after a search.
+
+
+def _roots(size, group):
+    """The orbit-least 2-prefixes under group, in ascending order: walking the
+    prefixes in lex order, each one not yet marked starts a new orbit."""
+    seen = set()
+    roots = []
+    for a, b in _prefixes(size, [()], 2):
+        if (a, b) not in seen:
+            roots.append((a, b))
+            seen.update((beta[a], beta[b]) for beta in group)
+    return roots
+
+
+def _run_search(cfg, size, group, kernel, ctx, recount, seed_value=None):
+    """Run cfg's mode over the completions of the orbit-least 2-prefixes of
+    group, a list of column maps (tuples) that includes the identity.
+    enumerate_all_min expands the minimizers found there by group."""
     t0 = time.perf_counter()
     stats = [0, 0]
-    with _Tasks(cfg, kernel, ctx, _prefixes(size, roots, cfg.parallel_depth),
-                stats) as tasks:
+    prefixes = _prefixes(size, _roots(size, group), cfg.parallel_depth)
+    with _Tasks(cfg, kernel, ctx, prefixes, stats) as tasks:
         if cfg.mode == "first_below":
             top = tasks.search(cfg.bound, True, "first")
             psi = top.best if top.witnesses else None
@@ -429,8 +454,8 @@ def _run_search(cfg, size, roots, kernel, ctx, recount, seed_value=None, expand=
                 raise ValueError(f"upper bound seed {seed} is below the minimum")
             psi = top.best
     found = top.witnesses
-    if cfg.mode == "enumerate_all_min" and expand is not None:
-        found = expand(found)
+    if cfg.mode == "enumerate_all_min":
+        found = sorted({tuple([beta[y] for y in w]) for w in found for beta in group})
     witnesses = tuple(found)
     for w in witnesses:
         got = recount(w)
@@ -440,11 +465,37 @@ def _run_search(cfg, size, roots, kernel, ctx, recount, seed_value=None, expand=
     return SearchOutcome(psi, witnesses, stats[0], stats[1], elapsed, cfg)
 
 
-def _y_affine_images(ctx, scales, ws):
-    """Every c*w + d with c in scales and d any element, for each witness w,
-    without repeats and in lex order."""
-    return sorted({tuple(ctx.add(ctx.mul(c, y), d) for y in w)
-                   for w in ws for c in scales for d in range(len(w))})
+def _y_affine_group(ctx, scales):
+    """The maps y -> c*y + d with c in scales and d any element of ctx."""
+    els = ctx.elements()
+    return [tuple([ctx.add(ctx.mul(c, y), d) for y in els]) for c in scales for d in els]
+
+
+def _column_group(ap, grid, skip):
+    """The column maps beta of grid (column j -> beta[j]) for which
+    (i, j) -> (i, beta[j]) maps every line outside the classes in skip onto
+    such a line: the candidates pi_L o pi_L0^-1 that take every pi_L to
+    another (see the module docstring)."""
+    q = ap.order
+    cell = {p: (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
+    perms = []
+    for li, ln in enumerate(ap.lines):
+        if li not in skip:
+            pi = [0] * q
+            for p in ln:
+                i, j = cell[p]
+                pi[i] = j
+            perms.append(tuple(pi))
+    lines = set(perms)
+    inv0 = [0] * q
+    for i, j in enumerate(perms[0]):
+        inv0[j] = i
+    group = []
+    for pi in perms:
+        beta = tuple([pi[i] for i in inv0])
+        if all(tuple([beta[j] for j in other]) in lines for other in perms):
+            group.append(beta)
+    return group
 
 
 def _field_keys(f):
@@ -471,9 +522,8 @@ def min_triples_field(f, cfg=None):
     def recount(w):
         return len(list_triples(PermGraph(f, w)))
 
-    return _run_search(cfg, q, [(0, 1)], _bucket_search,
-                       (q, _field_keys(f), q * q), recount, seed,
-                       lambda ws: _y_affine_images(f, range(1, q), ws))
+    return _run_search(cfg, q, _y_affine_group(f, range(1, q)), _bucket_search,
+                       (q, _field_keys(f), q * q), recount, seed)
 
 
 def min_triples_zn(n, cfg=None):
@@ -482,14 +532,12 @@ def min_triples_zn(n, cfg=None):
         raise ValueError("need n >= 3")
     cfg = cfg or SearchConfig()
     ring = RingSpec(n)
-    roots = [(0, g) for g in range(1, n) if n % g == 0]
     units = [c for c in range(1, n) if gcd(c, n) == 1]
 
     def recount(w):
         return count_triples(PermGraph(ring, w))
 
-    return _run_search(cfg, n, roots, _zn_search, (n,), recount,
-                       expand=lambda ws: _y_affine_images(ring, units, ws))
+    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_search, (n,), recount)
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):
@@ -514,7 +562,7 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
         gp = transversal_from_bijection(ap, h_class, v_class, w)
         return count_triples_plane(gp)
 
-    return _run_search(cfg, q, [()], _bucket_search,
+    return _run_search(cfg, q, _column_group(ap, grid, skip), _bucket_search,
                        (q, keys, len(ap.lines)), recount)
 
 

@@ -3,7 +3,10 @@ semantics, determinism, and parallel agreement."""
 
 import functools
 import gc
+import hashlib
 import itertools
+import json
+from math import gcd
 
 import pytest
 
@@ -19,13 +22,15 @@ from collinea.collinear import (
     transversal_from_bijection,
 )
 from collinea.errors import ClassesNotDistinct, NodeLimitExceeded
-from collinea.fixtures import load_fixture
-from collinea.plane import affine_plane
+from collinea.fixtures import AFFINE_FIXTURES, load_fixture
+from collinea.plane import affine_plane, plane_grid
 from collinea.search import (
     MODES,
     SearchConfig,
+    _column_group,
     _pool_size,
     _prefixes,
+    _roots,
     enumerate_minimizers,
     lex_least_minimizer,
     min_triples_field,
@@ -159,9 +164,18 @@ def test_seeded_incumbent_matches():
     assert out.witnesses == ((0, 1, 2, 4, 3),)
 
 
+def _ag(q):
+    return affine_plane(field_make(q))
+
+
 @functools.lru_cache(maxsize=None)
 def _brute(kind, n):
     """Every permutation of the domain with its triple count, in lex order."""
+    if kind == "ag":
+        q, h, v = n
+        ap = _ag(q)
+        return [(p, count_triples_plane(transversal_from_bijection(ap, h, v, p)))
+                for p in itertools.permutations(range(q))]
     ctx = field_make(n) if kind == "field" else RingSpec(n)
     return [(p, count_triples(PermGraph(ctx, p))) for p in itertools.permutations(range(n))]
 
@@ -171,14 +185,19 @@ def _search(kind, n, cfg):
         return min_triples_field(field_make(n), cfg)
     if kind == "zn":
         return min_triples_zn(n, cfg)
+    if kind == "ag":
+        q, h, v = n
+        return min_triples_plane(_ag(q), h, v, cfg)
     return min_triples_plane(load_fixture(n), 0, 1, cfg)
 
 
 @pytest.mark.parametrize(
-    "kind, n", [("field", q) for q in (2, 3, 4, 5, 7)] + [("zn", n) for n in range(3, 9)])
+    "kind, n", [("field", q) for q in (2, 3, 4, 5, 7)] + [("zn", n) for n in range(3, 9)]
+    + [("ag", (q, h, v)) for q in (3, 4, 5) for h, v in ((q, 0), (2, 1))],
+    ids=lambda n: "-".join(map(str, n)) if isinstance(n, tuple) else None)
 def test_quotient_search_matches_brute_force(kind, n):
-    # the search runs under (0, 1), or (0, g) for divisors g of n, and must
-    # still agree with a scan of every permutation in every mode
+    # the search runs only under the orbit-least 2-prefixes of its column
+    # group and must still agree with a scan of every permutation in every mode
     rows = _brute(kind, n)
     psi = min(c for _, c in rows)
     minimizers = tuple(p for p, c in rows if c == psi)
@@ -191,6 +210,125 @@ def test_quotient_search_matches_brute_force(kind, n):
         first, count = next((p, c) for p, c in rows if c < bound)
         out = _search(kind, n, SearchConfig(mode="first_below", bound=bound))
         assert (out.psi, out.witnesses) == (count, (first,))
+
+
+def _group_of(ap, h, v):
+    grid = plane_grid(ap, h, v)
+    skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
+    return _column_group(ap, grid, skip)
+
+
+def _moves_lines_to_lines(ap, h, v, beta):
+    """Whether (i, j) -> (i, beta[j]) maps every line outside the classes h and
+    v onto a line, checked on raw point sets."""
+    grid = plane_grid(ap, h, v)
+    cell = {p: (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
+    lines = {frozenset(ln) for ln in ap.lines}
+    skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
+    return all(frozenset(grid[cell[p][0]][beta[cell[p][1]]] for p in ln) in lines
+               for li, ln in enumerate(ap.lines) if li not in skip)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_column_group_matches_brute_force(q):
+    ap = _ag(q)
+    for h, v in itertools.permutations(range(q + 1), 2):
+        brute = [b for b in itertools.permutations(range(q)) if _moves_lines_to_lines(ap, h, v, b)]
+        group = _group_of(ap, h, v)
+        assert sorted(group) == brute, (h, v)
+        assert len(group) == q * (q - 1)
+
+
+# |G| and root count at the pinned classes (0, 1)
+ORDER9_GROUPS = {
+    "ag_2_9": (72, 1),
+    "hall_translation_deleted": (9, 8),
+    "hall_nontranslation_deleted": (8, 9),
+    "dual_hall_special_deleted": (1, 72),
+    "dual_hall_generic_deleted": (8, 9),
+    "hughes_real_deleted": (6, 12),
+    "hughes_generic_deleted": (2, 36),
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_FIXTURES)
+def test_order9_column_groups(name):
+    ap = load_fixture(name)
+    group = _group_of(ap, 0, 1)
+    assert (len(group), len(_roots(9, group))) == ORDER9_GROUPS[name]
+    assert len(set(group)) == len(group)
+    assert all(_moves_lines_to_lines(ap, 0, 1, b) for b in group)
+    members = set(group)
+    assert all(tuple(a[j] for j in b) in members for a in group for b in group)
+
+
+def test_roots_are_orbit_least_prefixes():
+    f = field_make(7)
+    assert _roots(7, [tuple(f.add(f.mul(c, y), d) for y in range(7))
+                      for c in range(1, 7) for d in range(7)]) == [(0, 1)]
+    units = [c for c in range(1, 12) if gcd(c, 12) == 1]
+    z12 = [tuple((c * y + d) % 12 for y in range(12)) for c in units for d in range(12)]
+    assert _roots(12, z12) == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6)]
+    identity = [tuple(range(3))]
+    assert _roots(3, identity) == list(itertools.permutations(range(3), 2))
+
+
+# SHA-256 of json [psi, witnesses] at classes (0, 1) in each mode of MODES
+# (first_below at bound 6), as the unreduced plane search returned them
+PLANE_OUTPUT_SHA256 = {
+    "ag_2_9": (
+        "e4bb0a679261bb6127d95867c235b38337dd080648bb14917fc15fb04c62a44d",
+        "ec35bf3ffb928d79d2cc1b767645ba05a3e5382bddea642a5eae7d09014bbf8e",
+        "e4bb0a679261bb6127d95867c235b38337dd080648bb14917fc15fb04c62a44d",
+        "e4bb0a679261bb6127d95867c235b38337dd080648bb14917fc15fb04c62a44d",
+    ),
+    "hall_translation_deleted": (
+        "3476e148a193e967b38cdf8362df43996c8b95e651173357662a75ca3cb0fb33",
+        "30fdd67039e7d13c79986db502f90c9c24136b5b1bb7e9324ffc41b1df835dc1",
+        "3476e148a193e967b38cdf8362df43996c8b95e651173357662a75ca3cb0fb33",
+        "3476e148a193e967b38cdf8362df43996c8b95e651173357662a75ca3cb0fb33",
+    ),
+    "hall_nontranslation_deleted": (
+        "0b07ba776153624d6a3fe5ddfe8de29d73b41a2c238587808612b929e0e6e1ab",
+        "5f1bf6dd78227556ce2e9103b15ef9f1451bc79b710e4afc4661a74148bf48b3",
+        "0b07ba776153624d6a3fe5ddfe8de29d73b41a2c238587808612b929e0e6e1ab",
+        "d91426a897b3aa00467110b5239f36af99efe7cad748ef5bd8dfd8a9173dca28",
+    ),
+    "dual_hall_special_deleted": (
+        "7fb03be0e30245fefddebd18eae596f32ec3dadce4770cc651379dcdeb1c8e84",
+        "d3ce1f3b3aa683b1699a089c30ebbda65da324bdee40aa475a105228a7f2f1d9",
+        "7fb03be0e30245fefddebd18eae596f32ec3dadce4770cc651379dcdeb1c8e84",
+        "7fb03be0e30245fefddebd18eae596f32ec3dadce4770cc651379dcdeb1c8e84",
+    ),
+    "dual_hall_generic_deleted": (
+        "727bf8ae9c60bda3b99dceef82f060729a3d050b5faa876f716a04b825831254",
+        "571cd9efa6a089fe5bcfdd60a451564080f7f574abe9b350225b102082678268",
+        "727bf8ae9c60bda3b99dceef82f060729a3d050b5faa876f716a04b825831254",
+        "22edc75da554e82c9c6a4ad283be8615721fc66b3d80f09e89b407bb0b087f4d",
+    ),
+    "hughes_real_deleted": (
+        "aa6336133776f8882242b313375c0d15b36b353af9805102c2a78e62180e1835",
+        "692bc61eeef17879686578f6e1e7225f25462cda98d1912bb701b7ed8211a823",
+        "aa6336133776f8882242b313375c0d15b36b353af9805102c2a78e62180e1835",
+        "aa6336133776f8882242b313375c0d15b36b353af9805102c2a78e62180e1835",
+    ),
+    "hughes_generic_deleted": (
+        "2edafc4137b32f31da0600020bdaa18cd22d24f32d69b3ecf71bf0fdd1ec1aae",
+        "542e63e1cdc8578beab388b42b011739e3e456b24153298b60ecc33b781e2498",
+        "2edafc4137b32f31da0600020bdaa18cd22d24f32d69b3ecf71bf0fdd1ec1aae",
+        "658890b89ed1f7728b64faaccc3d3f3ddb4b21c4760533bad294c88f7d52732f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_FIXTURES)
+def test_plane_outputs_match_unreduced_search(name):
+    ap = load_fixture(name)
+    for mode, want in zip(MODES, PLANE_OUTPUT_SHA256[name]):
+        bound = 6 if mode == "first_below" else None
+        out = min_triples_plane(ap, 0, 1, SearchConfig(mode=mode, bound=bound))
+        got = json.dumps([out.psi, [list(w) for w in out.witnesses]])
+        assert hashlib.sha256(got.encode()).hexdigest() == want, mode
 
 
 @pytest.mark.parametrize("q", [5, 7, 9])
@@ -212,9 +350,15 @@ def test_seed_below_the_minimum_is_rejected():
     ("field", 9, "enumerate_all_min", 5953),
     ("zn", 9, "min_value", 15246),
     ("zn", 9, "enumerate_all_min", 18676),
+    ("plane", "ag_2_9", "min_value", 4460),
+    ("plane", "ag_2_9", "enumerate_all_min", 6174),
+    ("plane", "hall_translation_deleted", "min_value", 48577),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 61732),
 ])
 def test_sequential_node_counts(kind, n, mode, nodes):
-    # one pass over the tree: a second (collect) pass would add thousands
+    # one pass over the tree under the orbit-least 2-prefixes: a second
+    # (collect) pass would add thousands, and losing a plane's column group
+    # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced)
     assert _search(kind, n, SearchConfig(mode=mode)).nodes_expanded == nodes
 
 
@@ -234,8 +378,11 @@ def test_searches_leave_no_reference_cycles(kind, n):
 
 
 # in the Z_n cases a parallel wave holds tasks whose own minimum lies above
-# the best an earlier task of the same wave found; the merge must drop them
-@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("zn", 10), ("plane", "ag_2_9")])
+# the best an earlier task of the same wave found; the merge must drop them.
+# ag_2_9 has one root, hall_translation_deleted eight, so only the latter
+# merges plane results across roots
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("zn", 10), ("plane", "ag_2_9"),
+                                     ("plane", "hall_translation_deleted")])
 def test_parallel_equals_sequential_every_mode(kind, n):
     for mode in MODES:
         bound = 5 if mode == "first_below" else None

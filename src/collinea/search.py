@@ -1,11 +1,15 @@
 """Branch-and-bound minimization of collinear triples.
 
 Three search domains share one skeleton: DFS over domain points in ascending
-order, candidate images in ascending order, with per-line occupancy counters
-and a prune rule against an incumbent (see _Incumbent).  Fields and planes
-use precomputed counter-key tables (placing a point touches one counter per
-eligible line); Z_n solves a linear congruence per placed pair to get, for
-each depth, the triple increment of every candidate image at once.
+order, candidate images in ascending order, with incremental counters and a
+prune rule against an incumbent (see _Incumbent).  Fields and planes use
+precomputed counter-key tables (placing a point touches one counter per
+eligible line).  Z_n, where collinearity mod n is not a line structure, uses
+a pair table built once per search: placing a cell adds one to the counter of
+every later cell collinear with it and a placed cell, so a counter is the
+number of triples its cell would add.  Counters only grow, so the Z_n kernel
+also prunes a node once its count plus each unplaced row's least counter in a
+free column reaches the bound.
 
 Every domain is searched modulo a group G of column maps beta, which act on a
 permutation sigma by sigma -> beta o sigma and keep its triple count:
@@ -222,36 +226,59 @@ def _bucket_search(q, keys, cnt_size, prefix, best, held, mode, stats, node_limi
 
 
 # -- Z_n engine --------------------------------------------------------------
-# For the pair (i, y_i), (j, y_j) and a new point (d, y), the determinant
-# vanishes iff y*(j - i) = y_i*(j - d) + y_j*(d - i) mod n; solving that
-# congruence for every placed pair fills incr[y] = new triples at image y.
+# Cells are row * n + column.  pairs[p][a] lists the later-row cells collinear
+# mod n with the cells a and p; cnt[cell] counts the placed pairs it is
+# collinear with, which is the number of triples placing that cell would add.
 
 
-def _zn_incr(n, ys, d):
-    incr = [0] * n
-    for j in range(1, d):
-        yj = ys[j]
-        for i in range(j):
-            a = j - i
-            c = (ys[i] * (j - d) + yj * (d - i)) % n
-            g = gcd(a, n)
-            if c % g:
-                continue
-            m = n // g
-            y0 = ((c // g) * pow(a // g, -1, m)) % m
-            for t in range(g):
-                incr[y0 + t * m] += 1
-    return incr
+def _zn_pairs(n):
+    """pairs[p][a] for cells a = (i, y_i) and p = (j, y_j), i < j: the cells
+    (d, y), d > j, whose determinant with a and p vanishes mod n, that is
+    y*(j - i) = y_i*(j - d) + y_j*(d - i) mod n."""
+    pairs = []
+    for j in range(n):
+        for yj in range(n):
+            row = []
+            for i in range(j):
+                g = gcd(j - i, n)
+                m = n // g
+                inv = pow((j - i) // g, -1, m)
+                for yi in range(n):
+                    cells = []
+                    if yi != yj:  # no permutation holds two cells of a column
+                        for d in range(j + 1, n):
+                            c = (yi * (j - d) + yj * (d - i)) % n
+                            if c % g == 0:
+                                y0 = (c // g) * inv % m
+                                cells.extend([d * n + y0 + t * m for t in range(g)])
+                    row.append(tuple(cells))
+            pairs.append(row)
+    return pairs
 
 
-def _zn_search(n, prefix, best, held, mode, stats, node_limit):
-    """The Z_n counterpart of _bucket_search."""
+def _zn_place(row, placed, cnt, step):
+    """Add step to cnt at every cell that row, the pairs[] entry of the cell
+    being placed or unplaced, lists under a placed cell."""
+    for a in placed:
+        for c in row[a]:
+            cnt[c] += step
+
+
+def _zn_search(n, pairs, prefix, best, held, mode, stats, node_limit):
+    """The Z_n counterpart of _bucket_search.  Before expanding a node it
+    prunes on cost + the sum over unplaced rows of the row's least counter in
+    a free column: counters only grow, so no leaf below costs less."""
     inc = _Incumbent(best, held, mode)
-    ys = list(prefix)
+    size = n * n
+    cnt = [0] * size
+    placed = []  # the cells placed so far, one per row
     used = 0
     cost = 0
     for d, y in enumerate(prefix):
-        cost += _zn_incr(n, ys[:d], d)[y] if d >= 2 else 0
+        p = d * n + y
+        cost += cnt[p]
+        _zn_place(pairs[p], placed, cnt, 1)
+        placed.append(p)
         used |= 1 << y
     limit = inc.limit
     if cost >= limit:
@@ -261,24 +288,32 @@ def _zn_search(n, prefix, best, held, mode, stats, node_limit):
     def rec(d, used, cost):
         nonlocal limit
         if d == n:
-            stop = inc.offer(cost, [tuple(ys)])
+            stop = inc.offer(cost, [tuple([p % n for p in placed])])
             limit = inc.limit
             return stop
-        incr = _zn_incr(n, ys, d) if d >= 2 else [0] * n
-        for y in range(n):
-            m = 1 << y
-            if used & m:
-                continue
-            nc = cost + incr[y]
+        free = [y for y in range(n) if not used >> y & 1]
+        bound = cost
+        for base in range(d * n, size, n):
+            bound += min([cnt[base + y] for y in free])
+            if bound >= limit:
+                stats[1] += 1
+                return False
+        base = d * n
+        for y in free:
+            p = base + y
+            nc = cost + cnt[p]
             stats[0] += 1
             if node_limit is not None and stats[0] > node_limit:
                 raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
             if nc >= limit:
                 stats[1] += 1
             else:
-                ys.append(y)
-                stop = rec(d + 1, used | m, nc)
-                ys.pop()
+                row = pairs[p]
+                _zn_place(row, placed, cnt, 1)
+                placed.append(p)
+                stop = rec(d + 1, used | 1 << y, nc)
+                placed.pop()
+                _zn_place(row, placed, cnt, -1)
                 if stop:
                     return True
         return False
@@ -293,8 +328,19 @@ def _zn_search(n, prefix, best, held, mode, stats, node_limit):
 # -- tasks and the process pool ----------------------------------------------
 
 
+# a pool worker's kernel and its context (key or pair table), set once per
+# worker by _init_worker so that tasks carry only their prefix and bounds
+_worker = None
+
+
+def _init_worker(kernel, ctx):
+    global _worker
+    _worker = (kernel, ctx)
+
+
 def _task(args):
-    kernel, ctx, prefix, bounds, node_budget = args
+    prefix, bounds, node_budget = args
+    kernel, ctx = _worker
     stats = [0, 0]
     r = kernel(*ctx, prefix, *bounds, stats, node_budget)
     return r, stats[0], stats[1]
@@ -354,8 +400,9 @@ class _Tasks:
     starts from the incumbent the previous tasks left; with parallel_depth > 0
     the tasks go to one process pool in chunked waves, every task of a wave
     starting from the incumbent at the wave's start, so the outcome never
-    depends on completion timing.  Use as a context manager: leaving it shuts
-    the pool down."""
+    depends on completion timing.  Each worker gets the kernel and its context
+    once, when it starts.  Use as a context manager: leaving it shuts the pool
+    down."""
 
     def __init__(self, cfg, kernel, ctx, prefixes, stats):
         self.kernel = kernel
@@ -369,7 +416,8 @@ class _Tasks:
                                  os.cpu_count() or 1)
             chunk = workers * _WAVE_FACTOR
             self.waves = [prefixes[i : i + chunk] for i in range(0, len(prefixes), chunk)]
-            self.pool = ProcessPoolExecutor(max_workers=workers)
+            self.pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                            initargs=(kernel, ctx))
 
     def __enter__(self):
         return self
@@ -391,7 +439,7 @@ class _Tasks:
             if budget <= 0:
                 raise self._over_limit()
         out = []
-        args = [(self.kernel, self.ctx, p, bounds, budget) for p in wave]
+        args = [(p, bounds, budget) for p in wave]
         for r, nodes, prunes in self.pool.map(_task, args):
             self.stats[0] += nodes
             self.stats[1] += prunes
@@ -537,7 +585,8 @@ def min_triples_zn(n, cfg=None):
     def recount(w):
         return count_triples(PermGraph(ring, w))
 
-    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_search, (n,), recount)
+    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_search,
+                       (n, _zn_pairs(n)), recount)
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):

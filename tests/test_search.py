@@ -6,10 +6,12 @@ import gc
 import hashlib
 import itertools
 import json
+import pickle
 from math import gcd
 
 import pytest
 
+from collinea import search
 from collinea.algebra import RingSpec, field_make
 from collinea.collinear import (
     PermGraph,
@@ -31,6 +33,7 @@ from collinea.search import (
     _pool_size,
     _prefixes,
     _roots,
+    _zn_pairs,
     enumerate_minimizers,
     lex_least_minimizer,
     min_triples_field,
@@ -331,6 +334,56 @@ def test_plane_outputs_match_unreduced_search(name):
         assert hashlib.sha256(got.encode()).hexdigest() == want, mode
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_zn_pair_table_lists_the_collinear_later_cells(n):
+    pairs = _zn_pairs(n)
+    assert len(pairs) == n * n
+    for j, yj in itertools.product(range(n), repeat=2):
+        row = pairs[j * n + yj]
+        assert len(row) == j * n
+        for i, yi in itertools.product(range(j), range(n)):
+            if yi == yj:
+                continue
+            want = [d * n + y for d in range(j + 1, n) for y in range(n)
+                    if (i * (yj - y) + j * (y - yi) + d * (yi - yj)) % n == 0]
+            assert sorted(row[i * n + yi]) == want, (i, yi, j, yj)
+
+
+# SHA-256 of json [psi, witnesses] by (n, mode, first_below bound), as the
+# search returned them before the Z_n look-ahead bound; psi is 5, 2, 5 and 0
+# at n = 9..12, so first_below at psi finds nothing and at psi + 1 the minimizer
+_MIN9 = "d67987988d856e5717dcf68e51990a34a90081ddb19de534a7b5437d9b64e26d"
+_MIN10 = "9811fc2a93498390097258415048d5ad6321bca268b486c70afb3ef9664bacf3"
+_NONE = "b7f343d070bfc0ca75b9e2fb05594f930e2f6909b96c4065293d4c61fade39f9"
+_MIN11 = "9955b8dbf470e6f2a08edfa12678e7197868f74ff213d71e23df6e7efbb63fd8"
+_MIN12 = "5994d0aa488b8f7eeba1c183525fcc93668fceaf9a45768a4b304843185c98ea"
+ZN_OUTPUT_SHA256 = {
+    (9, "min_value", None): _MIN9,
+    (9, "enumerate_all_min", None):
+        "0ae9757fa854fd9cf51b75cd99d199007eaa96e9008bec0f896051a38e8ea9ae",
+    (9, "lex_least", None): _MIN9,
+    (9, "first_below", 5): _NONE,
+    (9, "first_below", 6): _MIN9,
+    (10, "min_value", None): _MIN10,
+    (10, "enumerate_all_min", None):
+        "5719cca67385ff7bb36c0b6185e55d55143e1cb53f7e21ea45a08a3523f5315e",
+    (10, "lex_least", None): _MIN10,
+    (10, "first_below", 2): _NONE,
+    (10, "first_below", 3): _MIN10,
+    (11, "min_value", None): _MIN11,
+    (11, "lex_least", None): _MIN11,
+    (12, "min_value", None): _MIN12,
+    (12, "lex_least", None): _MIN12,
+}
+
+
+@pytest.mark.parametrize("n, mode, bound", list(ZN_OUTPUT_SHA256))
+def test_zn_outputs_are_pinned(n, mode, bound):
+    out = min_triples_zn(n, SearchConfig(mode=mode, bound=bound))
+    got = json.dumps([out.psi, [list(w) for w in out.witnesses]])
+    assert hashlib.sha256(got.encode()).hexdigest() == ZN_OUTPUT_SHA256[n, mode, bound]
+
+
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_enumeration_has_q2_q_minus_1_minimizers(q):
     out = min_triples_field(field_make(q), SearchConfig(mode="enumerate_all_min"))
@@ -348,8 +401,10 @@ def test_seed_below_the_minimum_is_rejected():
 @pytest.mark.parametrize("kind, n, mode, nodes", [
     ("field", 9, "min_value", 4257),
     ("field", 9, "enumerate_all_min", 5953),
-    ("zn", 9, "min_value", 15246),
-    ("zn", 9, "enumerate_all_min", 18676),
+    ("zn", 9, "min_value", 3129),
+    ("zn", 9, "enumerate_all_min", 5767),
+    ("zn", 10, "min_value", 5519),
+    ("zn", 11, "min_value", 15026),
     ("plane", "ag_2_9", "min_value", 4460),
     ("plane", "ag_2_9", "enumerate_all_min", 6174),
     ("plane", "hall_translation_deleted", "min_value", 48577),
@@ -358,7 +413,8 @@ def test_seed_below_the_minimum_is_rejected():
 def test_sequential_node_counts(kind, n, mode, nodes):
     # one pass over the tree under the orbit-least 2-prefixes: a second
     # (collect) pass would add thousands, and losing a plane's column group
-    # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced)
+    # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced);
+    # without its look-ahead bound Z_n expands 4-8x more (Z_9 15,246, Z_11 127,912)
     assert _search(kind, n, SearchConfig(mode=mode)).nodes_expanded == nodes
 
 
@@ -391,6 +447,38 @@ def test_parallel_equals_sequential_every_mode(kind, n):
             par = _search(kind, n, SearchConfig(mode=mode, bound=bound,
                                                 parallel_depth=depth, threads=threads))
             assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses), (mode, threads, depth)
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that runs the worker initializer and
+    the tasks in this process and keeps every task's argument tuple."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.args = []
+        _InProcessPool.last = self
+
+    def map(self, fn, args):
+        self.args.extend(args)
+        return map(fn, args)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
+def test_tasks_carry_no_kernel_context(kind, n, monkeypatch):
+    # the key or pair table goes to each worker once, through the pool's
+    # initializer, and a task holds only its prefix, bounds and node budget
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(search, "_worker", None)
+    seq = _search(kind, n, SearchConfig())
+    par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
+    assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
+    assert _InProcessPool.last.args
+    for args in _InProcessPool.last.args:
+        prefix, bounds, budget = args
+        assert len(pickle.dumps(args)) < 200
 
 
 def test_prefix_tasks_split_below_the_roots():

@@ -384,6 +384,44 @@ def test_zn_outputs_are_pinned(n, mode, bound):
     assert hashlib.sha256(got.encode()).hexdigest() == ZN_OUTPUT_SHA256[n, mode, bound]
 
 
+# SHA-256 of json [psi, witnesses] by (q, mode, first_below bound), as the
+# field search returned them before its look-ahead bound; psi is 3, 0, 4
+# and 5 at q = 7, 8, 9, 11.  GF(9) agrees with ag_2_9 at classes
+# (0, 1) and GF(11) with Z_11
+_FMIN7 = "02017afcaf566514c1d1e9b782bb7c91c90d909dde767db13dc614c3a4be9b91"
+_FMIN8 = "3936840ebd9aa4b78f81c944f54ff923cd86b9d2022a31bf2ef613214f062f21"
+_FMIN9 = "e4bb0a679261bb6127d95867c235b38337dd080648bb14917fc15fb04c62a44d"
+FIELD_OUTPUT_SHA256 = {
+    (7, "min_value", None): _FMIN7,
+    (7, "enumerate_all_min", None):
+        "3a68cebf5f67daadeab50ef59221d5445767eb2a2eb67c75a84230d26c877230",
+    (7, "lex_least", None): _FMIN7,
+    (7, "first_below", 3): _NONE,
+    (7, "first_below", 4): _FMIN7,
+    (8, "min_value", None): _FMIN8,
+    (8, "enumerate_all_min", None):
+        "933294bf228d18c5d3edbbf2904f2dfe625db52d06f8feeb509c138b33f75e64",
+    (8, "lex_least", None): _FMIN8,
+    (8, "first_below", 0): _NONE,
+    (8, "first_below", 1): _FMIN8,
+    (9, "min_value", None): _FMIN9,
+    (9, "enumerate_all_min", None):
+        "ec35bf3ffb928d79d2cc1b767645ba05a3e5382bddea642a5eae7d09014bbf8e",
+    (9, "lex_least", None): _FMIN9,
+    (9, "first_below", 4): _NONE,
+    (9, "first_below", 5): _FMIN9,
+    (11, "min_value", None): _MIN11,
+    (11, "lex_least", None): _MIN11,
+}
+
+
+@pytest.mark.parametrize("q, mode, bound", list(FIELD_OUTPUT_SHA256))
+def test_field_outputs_are_pinned(q, mode, bound):
+    out = min_triples_field(field_make(q), SearchConfig(mode=mode, bound=bound))
+    got = json.dumps([out.psi, [list(w) for w in out.witnesses]])
+    assert hashlib.sha256(got.encode()).hexdigest() == FIELD_OUTPUT_SHA256[q, mode, bound]
+
+
 @pytest.mark.parametrize("q", [5, 7, 9])
 def test_enumeration_has_q2_q_minus_1_minimizers(q):
     out = min_triples_field(field_make(q), SearchConfig(mode="enumerate_all_min"))

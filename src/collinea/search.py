@@ -1,15 +1,17 @@
 """Branch-and-bound minimization of collinear triples.
 
-Three search domains share one skeleton: DFS over domain points in ascending
-order, candidate images in ascending order, with incremental counters and a
-prune rule against an incumbent (see _Incumbent).  Fields and planes use
-precomputed counter-key tables (placing a point touches one counter per
-eligible line).  Z_n, where collinearity mod n is not a line structure, uses
-a pair table built once per search: placing a cell adds one to the counter of
-every later cell collinear with it and a placed cell, so a counter is the
-number of triples its cell would add.  Counters only grow, so the Z_n kernel
-also prunes a node once its count plus each unplaced row's least counter in a
-free column reaches the bound.
+Three search domains share one kernel (_pair_search): DFS over domain points
+in ascending order, candidate images in ascending order, with a counter per
+cell and a prune rule against an incumbent (see _Incumbent).  Each domain
+builds a pair table once per search, listing for two cells the later cells
+collinear with both: _line_pairs walks the lines of a field (y = s*x + b,
+s nonzero) or of a plane (every line outside the two grid classes), and
+_zn_pairs solves the determinant congruence, because collinearity mod n is not
+a line structure.  Placing a cell adds one to the counter of every later cell
+collinear with it and a placed cell, so a counter is the number of triples its
+cell would add.  Counters only grow, so the kernel also prunes a node once its
+count plus each unplaced row's least counter in a free column reaches the
+bound.
 
 Every domain is searched modulo a group G of column maps beta, which act on a
 permutation sigma by sigma -> beta o sigma and keep its triple count:
@@ -33,10 +35,10 @@ roots are (0, 1) over a field and (0, g) for each divisor g < n of n over Z_n.
 enumerate_all_min expands the minimizers found under the roots by G, drops
 repeats and sorts.
 
-Every mode is one pass of one kernel per domain (_bucket_search, _zn_search).
-min_value and lex_least keep the first leaf that improves on the incumbent,
-which makes the witness left at the end the lex-first one at the minimum, so
-both modes and parallel runs report the same canonical witness.
+Every mode is one pass of the kernel.  min_value and lex_least keep the first
+leaf that improves on the incumbent, which makes the witness left at the end
+the lex-first one at the minimum, so both modes and parallel runs report the
+same canonical witness.
 enumerate_all_min keeps every leaf at the least value seen, and first_below
 stops at the first leaf under its bound.  With parallel_depth > 0 each root
 is split that many levels further into prefix tasks, which run in
@@ -115,9 +117,9 @@ def outcome_to_json(outcome):
 
 
 # -- the incumbent -----------------------------------------------------------
-# Both kernels walk their tree in lex order and prune a node once its partial
+# The kernel walks its tree in lex order and prunes a node once its partial
 # count reaches limit; partial counts only grow along a path, so every leaf
-# they reach is offered here, and task results are merged the same way.
+# it reaches is offered here, and task results are merged the same way.
 
 
 class _Incumbent:
@@ -150,85 +152,12 @@ class _Incumbent:
         return self.mode == "first" and bool(self.witnesses)
 
 
-# -- bucket engine (fields and planes) ---------------------------------------
-# keys[row * q + choice] lists the counters touched by that placement; a
-# counter holding m points contributes C(m, 2) new triples when hit again.
-
-
-def _tri_table(q):
-    return [c * (c - 1) // 2 for c in range(q + 2)]
-
-
-def _bucket_place(keys_row, cnt, tri):
-    delta = 0
-    for idx in keys_row:
-        c = cnt[idx]
-        delta += tri[c]
-        cnt[idx] = c + 1
-    return delta
-
-
-def _bucket_unplace(keys_row, cnt):
-    for idx in keys_row:
-        cnt[idx] -= 1
-
-
-def _bucket_search(q, keys, cnt_size, prefix, best, held, mode, stats, node_limit):
-    """Lex-ordered DFS over the completions of prefix, pruning against the
-    incumbent (best, held) in mode; returns the incumbent's best and
-    witnesses after it (no witnesses when no leaf got under the bound)."""
-    inc = _Incumbent(best, held, mode)
-    tri = _tri_table(q)
-    cnt = [0] * cnt_size
-    used = 0
-    cost = 0
-    for x, y in enumerate(prefix):
-        cost += _bucket_place(keys[x * q + y], cnt, tri)
-        used |= 1 << y
-    limit = inc.limit
-    if cost >= limit:
-        stats[1] += 1
-        return inc.best, inc.witnesses
-    assign = list(prefix)
-
-    def rec(x, used, cost):
-        nonlocal limit
-        if x == q:
-            stop = inc.offer(cost, [tuple(assign)])
-            limit = inc.limit
-            return stop
-        base = x * q
-        for y in range(q):
-            m = 1 << y
-            if used & m:
-                continue
-            ks = keys[base + y]
-            nc = cost + _bucket_place(ks, cnt, tri)
-            stats[0] += 1
-            if node_limit is not None and stats[0] > node_limit:
-                raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
-            if nc >= limit:
-                stats[1] += 1
-            else:
-                assign.append(y)
-                stop = rec(x + 1, used | m, nc)
-                assign.pop()
-                if stop:
-                    return True
-            _bucket_unplace(ks, cnt)
-        return False
-
-    try:
-        rec(len(prefix), used, cost)
-    finally:
-        del rec  # rec is in its own closure: unbind it so refcounting frees the search state
-    return inc.best, inc.witnesses
-
-
-# -- Z_n engine --------------------------------------------------------------
-# Cells are row * n + column.  pairs[p][a] lists the later-row cells collinear
-# mod n with the cells a and p; cnt[cell] counts the placed pairs it is
+# -- the kernel --------------------------------------------------------------
+# Cells are row * size + column.  pairs[p][a] lists the later-row cells
+# collinear with the cells a and p; cnt[cell] counts the placed pairs it is
 # collinear with, which is the number of triples placing that cell would add.
+# Two builders fill pairs: _zn_pairs solves the congruence mod n, and
+# _line_pairs walks the lines of a field or a plane.
 
 
 def _zn_pairs(n):
@@ -256,7 +185,23 @@ def _zn_pairs(n):
     return pairs
 
 
-def _zn_place(row, placed, cnt, step):
+def _line_pairs(q, perms):
+    """pairs[p][a] from lines given as row -> column permutations: for two
+    cells a, p of a line in rows i < j, the line's cells in rows d > j.  Two
+    cells in distinct rows and columns lie on exactly one such line; cells in
+    one column lie on none, and list nothing."""
+    pairs = [[()] * (j * q) for j in range(q) for _ in range(q)]
+    for pi in perms:
+        cells = [d * q + y for d, y in enumerate(pi)]
+        for j in range(1, q - 1):
+            later = tuple(cells[j + 1:])
+            row = pairs[cells[j]]
+            for a in cells[:j]:
+                row[a] = later
+    return pairs
+
+
+def _pair_place(row, placed, cnt, step):
     """Add step to cnt at every cell that row, the pairs[] entry of the cell
     being placed or unplaced, lists under a placed cell."""
     for a in placed:
@@ -264,20 +209,23 @@ def _zn_place(row, placed, cnt, step):
             cnt[c] += step
 
 
-def _zn_search(n, pairs, prefix, best, held, mode, stats, node_limit):
-    """The Z_n counterpart of _bucket_search.  Before expanding a node it
-    prunes on cost + the sum over unplaced rows of the row's least counter in
-    a free column: counters only grow, so no leaf below costs less."""
+def _pair_search(size, pairs, prefix, best, held, mode, stats, node_limit):
+    """Lex-ordered DFS over the completions of prefix, pruning against the
+    incumbent (best, held) in mode; returns the incumbent's best and
+    witnesses after it (no witnesses when no leaf got under the bound).
+    Before expanding a node it prunes on cost + the sum over unplaced rows of
+    the row's least counter in a free column: counters only grow, so no leaf
+    below costs less."""
     inc = _Incumbent(best, held, mode)
-    size = n * n
-    cnt = [0] * size
+    cells = size * size
+    cnt = [0] * cells
     placed = []  # the cells placed so far, one per row
     used = 0
     cost = 0
     for d, y in enumerate(prefix):
-        p = d * n + y
+        p = d * size + y
         cost += cnt[p]
-        _zn_place(pairs[p], placed, cnt, 1)
+        _pair_place(pairs[p], placed, cnt, 1)
         placed.append(p)
         used |= 1 << y
     limit = inc.limit
@@ -287,18 +235,18 @@ def _zn_search(n, pairs, prefix, best, held, mode, stats, node_limit):
 
     def rec(d, used, cost):
         nonlocal limit
-        if d == n:
-            stop = inc.offer(cost, [tuple([p % n for p in placed])])
+        if d == size:
+            stop = inc.offer(cost, [tuple([p % size for p in placed])])
             limit = inc.limit
             return stop
-        free = [y for y in range(n) if not used >> y & 1]
+        free = [y for y in range(size) if not used >> y & 1]
         bound = cost
-        for base in range(d * n, size, n):
+        for base in range(d * size, cells, size):
             bound += min([cnt[base + y] for y in free])
             if bound >= limit:
                 stats[1] += 1
                 return False
-        base = d * n
+        base = d * size
         for y in free:
             p = base + y
             nc = cost + cnt[p]
@@ -309,11 +257,11 @@ def _zn_search(n, pairs, prefix, best, held, mode, stats, node_limit):
                 stats[1] += 1
             else:
                 row = pairs[p]
-                _zn_place(row, placed, cnt, 1)
+                _pair_place(row, placed, cnt, 1)
                 placed.append(p)
                 stop = rec(d + 1, used | 1 << y, nc)
                 placed.pop()
-                _zn_place(row, placed, cnt, -1)
+                _pair_place(row, placed, cnt, -1)
                 if stop:
                     return True
         return False
@@ -328,21 +276,20 @@ def _zn_search(n, pairs, prefix, best, held, mode, stats, node_limit):
 # -- tasks and the process pool ----------------------------------------------
 
 
-# a pool worker's kernel and its context (key or pair table), set once per
-# worker by _init_worker so that tasks carry only their prefix and bounds
+# a pool worker's kernel context (size and pair table), set once per worker
+# by _init_worker so that tasks carry only their prefix and bounds
 _worker = None
 
 
-def _init_worker(kernel, ctx):
+def _init_worker(ctx):
     global _worker
-    _worker = (kernel, ctx)
+    _worker = ctx
 
 
 def _task(args):
     prefix, bounds, node_budget = args
-    kernel, ctx = _worker
     stats = [0, 0]
-    r = kernel(*ctx, prefix, *bounds, stats, node_budget)
+    r = _pair_search(*_worker, prefix, *bounds, stats, node_budget)
     return r, stats[0], stats[1]
 
 
@@ -390,22 +337,21 @@ def _prefixes(size, roots, depth):
         for root in roots:
             gen(list(root), depth)
     finally:
-        del gen  # gen is in its own closure, as rec is in the kernels
+        del gen  # gen is in its own closure, as rec is in the kernel
     return out
 
 
 class _Tasks:
-    """Runs one kernel over the prefix tasks, merging (value, witnesses)
+    """Runs the kernel over the prefix tasks, merging (value, witnesses)
     results through one _Incumbent in task order.  Sequentially each task
     starts from the incumbent the previous tasks left; with parallel_depth > 0
     the tasks go to one process pool in chunked waves, every task of a wave
     starting from the incumbent at the wave's start, so the outcome never
-    depends on completion timing.  Each worker gets the kernel and its context
-    once, when it starts.  Use as a context manager: leaving it shuts the pool
+    depends on completion timing.  Each worker gets the kernel context once,
+    when it starts.  Use as a context manager: leaving it shuts the pool
     down."""
 
-    def __init__(self, cfg, kernel, ctx, prefixes, stats):
-        self.kernel = kernel
+    def __init__(self, cfg, ctx, prefixes, stats):
         self.ctx = ctx
         self.node_limit = cfg.node_limit
         self.stats = stats
@@ -417,7 +363,7 @@ class _Tasks:
             chunk = workers * _WAVE_FACTOR
             self.waves = [prefixes[i : i + chunk] for i in range(0, len(prefixes), chunk)]
             self.pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                            initargs=(kernel, ctx))
+                                            initargs=(ctx,))
 
     def __enter__(self):
         return self
@@ -431,7 +377,7 @@ class _Tasks:
 
     def _run(self, wave, bounds):
         if self.pool is None:
-            return [self.kernel(*self.ctx, p, *bounds, self.stats, self.node_limit)
+            return [_pair_search(*self.ctx, p, *bounds, self.stats, self.node_limit)
                     for p in wave]
         budget = None
         if self.node_limit is not None:
@@ -479,14 +425,15 @@ def _roots(size, group):
     return roots
 
 
-def _run_search(cfg, size, group, kernel, ctx, recount, seed_value=None):
+def _run_search(cfg, size, group, pairs, recount, seed_value=None):
     """Run cfg's mode over the completions of the orbit-least 2-prefixes of
-    group, a list of column maps (tuples) that includes the identity.
-    enumerate_all_min expands the minimizers found there by group."""
+    group, a list of column maps (tuples) that includes the identity, on the
+    kernel with pair table pairs.  enumerate_all_min expands the minimizers
+    found there by group."""
     t0 = time.perf_counter()
     stats = [0, 0]
     prefixes = _prefixes(size, _roots(size, group), cfg.parallel_depth)
-    with _Tasks(cfg, kernel, ctx, prefixes, stats) as tasks:
+    with _Tasks(cfg, (size, pairs), prefixes, stats) as tasks:
         if cfg.mode == "first_below":
             top = tasks.search(cfg.bound, True, "first")
             psi = top.best if top.witnesses else None
@@ -519,11 +466,9 @@ def _y_affine_group(ctx, scales):
     return [tuple([ctx.add(ctx.mul(c, y), d) for y in els]) for c in scales for d in els]
 
 
-def _column_group(ap, grid, skip):
-    """The column maps beta of grid (column j -> beta[j]) for which
-    (i, j) -> (i, beta[j]) maps every line outside the classes in skip onto
-    such a line: the candidates pi_L o pi_L0^-1 that take every pi_L to
-    another (see the module docstring)."""
+def _plane_lines(ap, grid, skip):
+    """Every line outside the classes in skip as its row -> column
+    permutation of grid."""
     q = ap.order
     cell = {p: (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
     perms = []
@@ -534,8 +479,16 @@ def _column_group(ap, grid, skip):
                 i, j = cell[p]
                 pi[i] = j
             perms.append(tuple(pi))
+    return perms
+
+
+def _column_group(perms):
+    """The column maps beta (column j -> beta[j]) for which
+    (i, j) -> (i, beta[j]) maps every line of perms, given as row -> column
+    permutations, onto another: the candidates pi_L o pi_L0^-1 that take
+    every pi_L to another (see the module docstring)."""
     lines = set(perms)
-    inv0 = [0] * q
+    inv0 = [0] * len(perms[0])
     for i, j in enumerate(perms[0]):
         inv0[j] = i
     group = []
@@ -544,15 +497,6 @@ def _column_group(ap, grid, skip):
         if all(tuple([beta[j] for j in other]) in lines for other in perms):
             group.append(beta)
     return group
-
-
-def _field_keys(f):
-    q = f.q
-    keys = []
-    for x in range(q):
-        for y in range(q):
-            keys.append([s * q + f.sub(y, f.mul(s, x)) for s in range(q)])
-    return keys
 
 
 def min_triples_field(f, cfg=None):
@@ -570,8 +514,10 @@ def min_triples_field(f, cfg=None):
     def recount(w):
         return len(list_triples(PermGraph(f, w)))
 
-    return _run_search(cfg, q, _y_affine_group(f, range(1, q)), _bucket_search,
-                       (q, _field_keys(f), q * q), recount, seed)
+    # the line y = s*x + b, s nonzero, as a row -> column map is the column
+    # map y -> s*y + b, so the lines and the group are one list
+    lines = _y_affine_group(f, range(1, q))
+    return _run_search(cfg, q, lines, _line_pairs(q, lines), recount, seed)
 
 
 def min_triples_zn(n, cfg=None):
@@ -585,8 +531,7 @@ def min_triples_zn(n, cfg=None):
     def recount(w):
         return count_triples(PermGraph(ring, w))
 
-    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_search,
-                       (n, _zn_pairs(n)), recount)
+    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_pairs(n), recount)
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):
@@ -596,23 +541,13 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
     q = ap.order
     grid = plane_grid(ap, h_class, v_class)
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
-    lines_of = {}
-    for li, ln in enumerate(ap.lines):
-        if li in skip:
-            continue
-        for p in ln:
-            lines_of.setdefault(p, []).append(li)
-    keys = []
-    for i in range(q):
-        for j in range(q):
-            keys.append(lines_of.get(grid[i][j], []))
+    lines = _plane_lines(ap, grid, skip)
 
     def recount(w):
         gp = transversal_from_bijection(ap, h_class, v_class, w)
         return count_triples_plane(gp)
 
-    return _run_search(cfg, q, _column_group(ap, grid, skip), _bucket_search,
-                       (q, keys, len(ap.lines)), recount)
+    return _run_search(cfg, q, _column_group(lines), _line_pairs(q, lines), recount)
 
 
 def _dispatch(target, cfg):

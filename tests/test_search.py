@@ -20,6 +20,7 @@ from collinea.collinear import (
     count_triples_plane,
     fractional_perm,
     FracParams,
+    is_collinear,
     recognize_fractional,
     transversal_from_bijection,
 )
@@ -30,6 +31,8 @@ from collinea.search import (
     MODES,
     SearchConfig,
     _column_group,
+    _line_pairs,
+    _plane_lines,
     _pool_size,
     _prefixes,
     _roots,
@@ -156,8 +159,15 @@ def test_first_below_semantics():
 
 
 def test_node_limit():
-    with pytest.raises(NodeLimitExceeded):
-        min_triples_field(field_make(7), SearchConfig(node_limit=100))
+    # the limit is exact: a search that expands N nodes finishes unchanged
+    # under node_limit=N and raises under N - 1
+    for kind, n in (("field", 9), ("zn", 9), ("plane", "ag_2_9")):
+        free = _search(kind, n, SearchConfig())
+        nodes = free.nodes_expanded
+        out = _search(kind, n, SearchConfig(node_limit=nodes))
+        assert (out.psi, out.witnesses, out.nodes_expanded) == (free.psi, free.witnesses, nodes)
+        with pytest.raises(NodeLimitExceeded):
+            _search(kind, n, SearchConfig(node_limit=nodes - 1))
 
 
 def test_seeded_incumbent_matches():
@@ -215,10 +225,14 @@ def test_quotient_search_matches_brute_force(kind, n):
         assert (out.psi, out.witnesses) == (count, (first,))
 
 
-def _group_of(ap, h, v):
+def _lines_of(ap, h, v):
     grid = plane_grid(ap, h, v)
     skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
-    return _column_group(ap, grid, skip)
+    return _plane_lines(ap, grid, skip)
+
+
+def _group_of(ap, h, v):
+    return _column_group(_lines_of(ap, h, v))
 
 
 def _moves_lines_to_lines(ap, h, v, beta):
@@ -334,6 +348,52 @@ def test_plane_outputs_match_unreduced_search(name):
         assert hashlib.sha256(got.encode()).hexdigest() == want, mode
 
 
+def _field_incidence(q):
+    """The lines y = s*x + b, s nonzero, of GF(q) as row -> column maps, and
+    collinearity of three cells (row, column) by the determinant."""
+    f = field_make(q)
+    lines = [tuple(f.add(f.mul(s, x), b) for x in range(q)) for s in range(1, q) for b in range(q)]
+    return lines, lambda *cells: is_collinear(f, *cells)
+
+
+def _plane_incidence(ap, h, v):
+    """The lines a plane search walks, and collinearity of three cells of the
+    (h, v) grid checked on the raw point sets of ap.lines."""
+    grid = plane_grid(ap, h, v)
+    point_sets = [set(ln) for ln in ap.lines]
+
+    def collinear(*cells):
+        points = {grid[i][j] for i, j in cells}
+        return any(points <= ln for ln in point_sets)
+
+    return _lines_of(ap, h, v), collinear
+
+
+@pytest.mark.parametrize("kind, n", [("field", q) for q in (3, 4, 5, 7, 8, 9)]
+                         + [("ag", q) for q in (3, 4, 5)]
+                         + [("plane", "hall_translation_deleted")])
+def test_line_pair_table_lists_the_collinear_later_cells(kind, n):
+    if kind == "field":
+        lines, collinear = _field_incidence(n)
+    elif kind == "ag":
+        lines, collinear = _plane_incidence(_ag(n), n, 0)
+    else:
+        lines, collinear = _plane_incidence(load_fixture(n), 0, 1)
+    q = len(lines[0])
+    pairs = _line_pairs(q, lines)
+    assert len(pairs) == q * q
+    for j, yj in itertools.product(range(q), repeat=2):
+        row = pairs[j * q + yj]
+        assert len(row) == j * q
+        for i, yi in itertools.product(range(j), range(q)):
+            if yi == yj:
+                assert row[i * q + yi] == ()  # no permutation holds both cells
+                continue
+            want = [d * q + y for d in range(j + 1, q) for y in range(q)
+                    if collinear((i, yi), (j, yj), (d, y))]
+            assert sorted(row[i * q + yi]) == want, (i, yi, j, yj)
+
+
 @pytest.mark.parametrize("n", range(3, 11))
 def test_zn_pair_table_lists_the_collinear_later_cells(n):
     pairs = _zn_pairs(n)
@@ -436,30 +496,36 @@ def test_seed_below_the_minimum_is_rejected():
                 _search(kind, n, SearchConfig(mode=mode, upper_bound_seed=psi - 1))
 
 
-@pytest.mark.parametrize("kind, n, mode, nodes", [
-    ("field", 9, "min_value", 4257),
-    ("field", 9, "enumerate_all_min", 5953),
+NODE_COUNTS = [
+    ("field", 9, "min_value", 922),
+    ("field", 9, "enumerate_all_min", 1455),
+    ("field", 11, "min_value", 11551),
     ("zn", 9, "min_value", 3129),
     ("zn", 9, "enumerate_all_min", 5767),
     ("zn", 10, "min_value", 5519),
     ("zn", 11, "min_value", 15026),
-    ("plane", "ag_2_9", "min_value", 4460),
-    ("plane", "ag_2_9", "enumerate_all_min", 6174),
-    ("plane", "hall_translation_deleted", "min_value", 48577),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 61732),
-])
+    ("plane", "ag_2_9", "min_value", 1056),
+    ("plane", "ag_2_9", "enumerate_all_min", 1641),
+    ("plane", "hall_translation_deleted", "min_value", 12180),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 20730),
+]
+
+
+@pytest.mark.parametrize("kind, n, mode, nodes", [
+    pytest.param(*case, id="-".join(map(str, case[:3]))) for case in NODE_COUNTS])
 def test_sequential_node_counts(kind, n, mode, nodes):
     # one pass over the tree under the orbit-least 2-prefixes: a second
     # (collect) pass would add thousands, and losing a plane's column group
     # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced);
-    # without its look-ahead bound Z_n expands 4-8x more (Z_9 15,246, Z_11 127,912)
+    # without the look-ahead bound the kernel expands 4-10x more (GF(9)
+    # 4,257, GF(11) 112,853, Z_9 15,246, Z_11 127,912, ag_2_9 4,460)
     assert _search(kind, n, SearchConfig(mode=mode)).nodes_expanded == nodes
 
 
-@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8)])
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
 def test_searches_leave_no_reference_cycles(kind, n):
-    """The recursive kernels are closures over their own name; unless they
-    drop it, every search's state waits for the cyclic collector."""
+    """The recursive kernel is a closure over its own name; unless it drops
+    it, every search's state waits for the cyclic collector."""
     _search(kind, n, SearchConfig())
     gc.collect()
     gc.disable()
@@ -506,7 +572,7 @@ class _InProcessPool:
 
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
 def test_tasks_carry_no_kernel_context(kind, n, monkeypatch):
-    # the key or pair table goes to each worker once, through the pool's
+    # the pair table goes to each worker once, through the pool's
     # initializer, and a task holds only its prefix, bounds and node budget
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(search, "_worker", None)

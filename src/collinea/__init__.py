@@ -51,7 +51,6 @@ from .search import (
     SearchConfig,
     SearchOutcome,
     enumerate_minimizers,
-    lex_least_minimizer,
     min_triples_field,
     min_triples_plane,
     min_triples_zn,

@@ -9,8 +9,7 @@ cross-checking property suite.  `run_claim(i)` returns a JSON-ready dict with
 from the elapsed field.
 
 Search outcomes are cached per process so overlapping claims (the q = 13
-runs especially) pay for each search once; later claims seed their incumbent
-from a cached exact value when one exists.
+runs especially) pay for each search once.
 """
 
 import itertools
@@ -53,19 +52,11 @@ from .search import (
 _cache = {}
 
 
-def _seeded_cfg(key_prefix, mode):
-    seed = None
-    hit = _cache.get(key_prefix + ("min_value",))
-    if hit is not None and mode != "min_value":
-        seed = hit.psi
-    return SearchConfig(mode=mode, upper_bound_seed=seed)
-
-
 def field_outcome(q, mode="min_value"):
     key = ("field", q, mode)
     if key not in _cache:
         f = field_make(q)
-        _cache[key] = min_triples_field(f, _seeded_cfg(("field", q), mode))
+        _cache[key] = min_triples_field(f, SearchConfig(mode=mode))
     return _cache[key]
 
 

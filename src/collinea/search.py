@@ -35,20 +35,25 @@ roots are (0, 1) over a field and (0, g) for each divisor g < n of n over Z_n.
 enumerate_all_min expands the minimizers found under the roots by G, drops
 repeats and sorts.
 
-Every mode is one pass of the kernel.  min_value and lex_least keep the first
-leaf that improves on the incumbent, which makes the witness left at the end
-the lex-first one at the minimum, so both modes and parallel runs report the
-same canonical witness.
-enumerate_all_min keeps every leaf at the least value seen, and first_below
-stops at the first leaf under its bound.  With parallel_depth > 0 each root
-is split that many levels further into prefix tasks, which run in
-deterministic waves on one process pool per search.
+Every mode is one pass of the kernel against one exclusive limit: a node is
+pruned once its count, or its look-ahead bound, reaches the limit.
+min_value and lex_least start from a seed s that a known witness attains as
+the limit s + 1 (or from C(size, 3) + 1) and lower it to each kept leaf's
+value, which makes the witness left at the end the lex-first one at the
+minimum, so both modes and parallel runs report the same canonical witness.
+enumerate_all_min keeps every leaf at the least value seen, under the limit
+best + 1, and first_below stops at the first leaf under its bound.  With
+parallel_depth > 0 each root is split that many levels further into prefix
+tasks, which run in deterministic waves on one process pool per search.
+Sequential and parallel runs share one merge of task results, so both count
+nodes and enforce node_limit the same way.
 """
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from itertools import permutations
 from math import comb, gcd
 
 from .algebra import FieldSpec, RingSpec
@@ -66,7 +71,7 @@ from .plane import plane_grid
 
 MODES = ("min_value", "enumerate_all_min", "lex_least", "first_below")
 
-# tasks handed to the pool per wave, in units of worker count
+# tasks handed to the pool per wave, per requested worker
 _WAVE_FACTOR = 8
 
 
@@ -88,6 +93,11 @@ class SearchConfig:
             raise ValueError("first_below needs a bound")
         if self.threads is not None:
             resolve_threads(self.threads)
+        for name in ("node_limit", "upper_bound_seed"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)
+                                      or value < 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,30 +133,30 @@ def outcome_to_json(outcome):
 
 
 class _Incumbent:
-    """The bound a search prunes against and the witnesses attaining it.
+    """The exclusive limit a search prunes against and the witnesses kept
+    under it; best is the value they attain, or the limit while none is kept.
 
-    mode "best": the lex-first witness at the least value.  A seeded best
-    that no witness attains yet is only pruned above (held False); once a
-    witness holds it, prune at it, so later leaves must improve strictly.
+    mode "best": the lex-first witness at the least value.  A seed s that a
+    known witness attains enters as the limit s + 1; each kept witness lowers
+    the limit to its value, so later leaves must improve strictly.
     mode "all": every witness at the least value, in the order offered; the
-    bound is always best + 1, and the list resets when best drops.
-    mode "first": the first witness below a fixed bound, given as a held best.
+    limit stays best + 1, so a result above best is dropped, and the list
+    resets when best drops.
+    mode "first": the first witness below a fixed limit.
     """
 
-    def __init__(self, best, held, mode):
-        self.best = best
-        self.held = held
+    def __init__(self, limit, mode):
+        self.limit = self.best = limit
         self.mode = mode
         self.witnesses = []
-        self.limit = best if held and mode != "all" else best + 1
 
     def offer(self, value, witnesses):
         """Merge a result; True once a "first" search may stop."""
-        if witnesses and value <= self.best:
-            if value == self.best and self.mode == "all":
+        if witnesses and value < self.limit:
+            if value == self.best:
                 self.witnesses.extend(witnesses)
-            elif value < self.best or not self.held:
-                self.best, self.held = value, True
+            else:
+                self.best = value
                 self.witnesses = list(witnesses)
                 self.limit = value + 1 if self.mode == "all" else value
         return self.mode == "first" and bool(self.witnesses)
@@ -209,14 +219,18 @@ def _pair_place(row, placed, cnt, step):
             cnt[c] += step
 
 
-def _pair_search(size, pairs, prefix, best, held, mode, stats, node_limit):
-    """Lex-ordered DFS over the completions of prefix, pruning against the
-    incumbent (best, held) in mode; returns the incumbent's best and
-    witnesses after it (no witnesses when no leaf got under the bound).
+def _pair_search(size, pairs, node_limit, prefix, limit, mode, spent):
+    """Lex-ordered DFS over the completions of prefix, pruning against an
+    _Incumbent(limit, mode); returns its best and witnesses after it (no
+    witnesses when no leaf got under the limit) and the nodes expanded and
+    prunes made.  spent is the search's node count before this call, so the
+    kernel raises NodeLimitExceeded once spent + its own nodes pass node_limit.
     Before expanding a node it prunes on cost + the sum over unplaced rows of
     the row's least counter in a free column: counters only grow, so no leaf
     below costs less."""
-    inc = _Incumbent(best, held, mode)
+    inc = _Incumbent(limit, mode)
+    budget = None if node_limit is None else node_limit - spent
+    nodes = prunes = 0
     cells = size * size
     cnt = [0] * cells
     placed = []  # the cells placed so far, one per row
@@ -228,13 +242,11 @@ def _pair_search(size, pairs, prefix, best, held, mode, stats, node_limit):
         _pair_place(pairs[p], placed, cnt, 1)
         placed.append(p)
         used |= 1 << y
-    limit = inc.limit
     if cost >= limit:
-        stats[1] += 1
-        return inc.best, inc.witnesses
+        return inc.best, inc.witnesses, 0, 1
 
     def rec(d, used, cost):
-        nonlocal limit
+        nonlocal limit, nodes, prunes
         if d == size:
             stop = inc.offer(cost, [tuple([p % size for p in placed])])
             limit = inc.limit
@@ -244,17 +256,17 @@ def _pair_search(size, pairs, prefix, best, held, mode, stats, node_limit):
         for base in range(d * size, cells, size):
             bound += min([cnt[base + y] for y in free])
             if bound >= limit:
-                stats[1] += 1
+                prunes += 1
                 return False
         base = d * size
         for y in free:
             p = base + y
             nc = cost + cnt[p]
-            stats[0] += 1
-            if node_limit is not None and stats[0] > node_limit:
+            nodes += 1
+            if budget is not None and nodes > budget:
                 raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
             if nc >= limit:
-                stats[1] += 1
+                prunes += 1
             else:
                 row = pairs[p]
                 _pair_place(row, placed, cnt, 1)
@@ -270,14 +282,15 @@ def _pair_search(size, pairs, prefix, best, held, mode, stats, node_limit):
         rec(len(prefix), used, cost)
     finally:
         del rec  # rec is in its own closure: unbind it so refcounting frees the search state
-    return inc.best, inc.witnesses
+    return inc.best, inc.witnesses, nodes, prunes
 
 
 # -- tasks and the process pool ----------------------------------------------
 
 
-# a pool worker's kernel context (size and pair table), set once per worker
-# by _init_worker so that tasks carry only their prefix and bounds
+# a pool worker's kernel context (size, pair table and node limit), set once
+# per worker by _init_worker so that tasks carry only their prefix, bounds and
+# the nodes spent before them
 _worker = None
 
 
@@ -287,10 +300,8 @@ def _init_worker(ctx):
 
 
 def _task(args):
-    prefix, bounds, node_budget = args
-    stats = [0, 0]
-    r = _pair_search(*_worker, prefix, *bounds, stats, node_budget)
-    return r, stats[0], stats[1]
+    prefix, bounds, spent = args
+    return _pair_search(*_worker, prefix, *bounds, spent)
 
 
 def resolve_threads(threads=None):
@@ -321,49 +332,39 @@ def _prefixes(size, roots, depth):
     """The tasks: each root extended by up to depth further distinct images,
     in lex order."""
     out = []
-
-    def gen(pre, left):
-        if left == 0 or len(pre) == size:
-            out.append(tuple(pre))
-            return
-        for y in range(size):
-            if y in pre:
-                continue
-            pre.append(y)
-            gen(pre, left - 1)
-            pre.pop()
-
-    try:
-        for root in roots:
-            gen(list(root), depth)
-    finally:
-        del gen  # gen is in its own closure, as rec is in the kernel
+    for root in roots:
+        rest = [y for y in range(size) if y not in root]
+        out.extend(root + tail for tail in permutations(rest, min(depth, len(rest))))
     return out
 
 
 class _Tasks:
-    """Runs the kernel over the prefix tasks, merging (value, witnesses)
-    results through one _Incumbent in task order.  Sequentially each task
-    starts from the incumbent the previous tasks left; with parallel_depth > 0
-    the tasks go to one process pool in chunked waves, every task of a wave
-    starting from the incumbent at the wave's start, so the outcome never
-    depends on completion timing.  Each worker gets the kernel context once,
-    when it starts.  Use as a context manager: leaving it shuts the pool
-    down."""
+    """Runs the kernel over the prefix tasks in waves, merging each wave's
+    results through one _Incumbent in task order and adding up their nodes
+    and prunes.  Every task of a wave starts from the incumbent at the wave's
+    start, so the outcome never depends on completion timing.  Sequentially a
+    wave is one task, run in this process; with parallel_depth > 0 a wave is
+    _WAVE_FACTOR tasks per requested worker (per core if none is requested),
+    so a requested count gives node counts that do not depend on the cores.
+    Waves run on one process pool per search, each worker getting the kernel
+    context once, when it starts.
+    The node limit is checked after every wave against the merged count, and
+    inside each task against the nodes spent before its wave.  Use as a
+    context manager: leaving it shuts the pool down."""
 
-    def __init__(self, cfg, ctx, prefixes, stats):
-        self.ctx = ctx
+    def __init__(self, cfg, ctx, prefixes):
+        self.ctx = ctx + (cfg.node_limit,)
         self.node_limit = cfg.node_limit
-        self.stats = stats
+        self.nodes = self.prunes = 0
         self.pool = None
-        self.waves = [[p] for p in prefixes]
+        chunk = 1
         if cfg.parallel_depth > 0:
-            workers = _pool_size(resolve_threads(cfg.threads), len(prefixes),
-                                 os.cpu_count() or 1)
-            chunk = workers * _WAVE_FACTOR
-            self.waves = [prefixes[i : i + chunk] for i in range(0, len(prefixes), chunk)]
-            self.pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                            initargs=(ctx,))
+            threads = resolve_threads(cfg.threads)
+            cpus = os.cpu_count() or 1
+            chunk = (threads or cpus) * _WAVE_FACTOR
+            self.pool = ProcessPoolExecutor(max_workers=_pool_size(threads, len(prefixes), cpus),
+                                            initializer=_init_worker, initargs=(self.ctx,))
+        self.waves = [prefixes[i : i + chunk] for i in range(0, len(prefixes), chunk)]
 
     def __enter__(self):
         return self
@@ -372,36 +373,30 @@ class _Tasks:
         if self.pool is not None:
             self.pool.shutdown()
 
-    def _over_limit(self):
-        return NodeLimitExceeded(f"expanded more than {self.node_limit} nodes")
-
-    def _run(self, wave, bounds):
+    def _run(self, wave, top):
+        """Run one wave from top and merge it into top; True once a "first"
+        search may stop."""
+        args = [(p, (top.limit, top.mode), self.nodes) for p in wave]
         if self.pool is None:
-            return [_pair_search(*self.ctx, p, *bounds, self.stats, self.node_limit)
-                    for p in wave]
-        budget = None
-        if self.node_limit is not None:
-            budget = self.node_limit - self.stats[0]
-            if budget <= 0:
-                raise self._over_limit()
-        out = []
-        args = [(p, bounds, budget) for p in wave]
-        for r, nodes, prunes in self.pool.map(_task, args):
-            self.stats[0] += nodes
-            self.stats[1] += prunes
-            out.append(r)
-        if self.node_limit is not None and self.stats[0] > self.node_limit:
-            raise self._over_limit()
-        return out
+            results = [_pair_search(*self.ctx, p, *bounds, spent) for p, bounds, spent in args]
+        else:
+            results = self.pool.map(_task, args)
+        stop = False
+        for best, witnesses, nodes, prunes in results:
+            self.nodes += nodes
+            self.prunes += prunes
+            stop = stop or top.offer(best, witnesses)
+        if self.node_limit is not None and self.nodes > self.node_limit:
+            raise NodeLimitExceeded(f"expanded more than {self.node_limit} nodes")
+        return stop
 
-    def search(self, best, held, mode):
+    def search(self, limit, mode):
         """The _Incumbent after every task, or after the first hit in mode
         "first"."""
-        top = _Incumbent(best, held, mode)
+        top = _Incumbent(limit, mode)
         for wave in self.waves:
-            for value, witnesses in self._run(wave, (top.best, top.held, mode)):
-                if top.offer(value, witnesses):
-                    return top
+            if self._run(wave, top):
+                break
         return top
 
 
@@ -418,7 +413,7 @@ def _roots(size, group):
     prefixes in lex order, each one not yet marked starts a new orbit."""
     seen = set()
     roots = []
-    for a, b in _prefixes(size, [()], 2):
+    for a, b in permutations(range(size), 2):
         if (a, b) not in seen:
             roots.append((a, b))
             seen.update((beta[a], beta[b]) for beta in group)
@@ -431,23 +426,20 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
     kernel with pair table pairs.  enumerate_all_min expands the minimizers
     found there by group."""
     t0 = time.perf_counter()
-    stats = [0, 0]
+    if cfg.mode == "first_below":
+        limit, mode = cfg.bound, "first"
+    else:
+        seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
+        limit = comb(size, 3) + 1 if seed is None else seed + 1
+        mode = "all" if cfg.mode == "enumerate_all_min" else "best"
     prefixes = _prefixes(size, _roots(size, group), cfg.parallel_depth)
-    with _Tasks(cfg, (size, pairs), prefixes, stats) as tasks:
-        if cfg.mode == "first_below":
-            top = tasks.search(cfg.bound, True, "first")
-            psi = top.best if top.witnesses else None
-        else:
-            seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
-            if seed is None:
-                seed = comb(size, 3) + 1
-            mode = "all" if cfg.mode == "enumerate_all_min" else "best"
-            top = tasks.search(seed, False, mode)
-            if not top.witnesses:
-                # only possible when the seeded incumbent undercut the true
-                # minimum, so nothing attained it
-                raise ValueError(f"upper bound seed {seed} is below the minimum")
-            psi = top.best
+    with _Tasks(cfg, (size, pairs), prefixes) as tasks:
+        top = tasks.search(limit, mode)
+    psi = top.best if top.witnesses else None
+    if psi is None and mode != "first":
+        # only possible when the seed undercut the true minimum, so no
+        # witness got under its limit
+        raise ValueError(f"upper bound seed {seed} is below the minimum")
     found = top.witnesses
     if cfg.mode == "enumerate_all_min":
         found = sorted({tuple([beta[y] for y in w]) for w in found for beta in group})
@@ -457,7 +449,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
         if got != psi:
             raise AssertionError(f"witness {w} recounts to {got}, search said {psi}")
     elapsed = time.perf_counter() - t0
-    return SearchOutcome(psi, witnesses, stats[0], stats[1], elapsed, cfg)
+    return SearchOutcome(psi, witnesses, tasks.nodes, tasks.prunes, elapsed, cfg)
 
 
 def _y_affine_group(ctx, scales):
@@ -502,14 +494,11 @@ def _column_group(perms):
 def min_triples_field(f, cfg=None):
     """Exact minimum number of collinear triples over all permutations of
     GF(q), with witnesses per the configured mode.  The incumbent is seeded
-    from the closed-form family (odd q) or the reciprocal map (even q)."""
+    from the closed-form family (odd q) or the reciprocal map (even q), unless
+    cfg gives a seed or a first_below bound."""
     cfg = cfg or SearchConfig()
     q = f.q
-    if cfg.upper_bound_seed is None and cfg.mode != "first_below":
-        seed_perm = closed_form_minimizer(f) if f.p != 2 else reciprocal_perm(f)
-        seed = count_triples(seed_perm)
-    else:
-        seed = None
+    seed = count_triples(closed_form_minimizer(f) if f.p != 2 else reciprocal_perm(f))
 
     def recount(w):
         return len(list_triples(PermGraph(f, w)))
@@ -569,13 +558,3 @@ def enumerate_minimizers(target, cfg=None):
     if isinstance(target, (FieldSpec, RingSpec)):
         return [PermGraph(target, w) for w in out.witnesses]
     return list(out.witnesses)
-
-
-def lex_least_minimizer(target, cfg=None):
-    """The lexicographically least minimum-attaining witness."""
-    cfg = replace(cfg or SearchConfig(), mode="lex_least")
-    out = _dispatch(target, cfg)
-    w = out.witnesses[0]
-    if isinstance(target, (FieldSpec, RingSpec)):
-        return PermGraph(target, w)
-    return w

@@ -171,6 +171,9 @@ def test_node_limit_exit(capsys):
     code, d = run(capsys, "psi", "field", "7", "--node-limit", "10")
     assert code == 4
     assert d["error"]["type"] == "NodeLimitExceeded"
+    for flag in ("--node-limit", "--seed-incumbent"):
+        code, d = run(capsys, "psi", "field", "5", flag, "-1")
+        assert (code, d["error"]["type"]) == (2, "UsageError")
 
 
 def test_seed_incumbent_flows_through(capsys):

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import pickle
 from math import gcd
 
@@ -38,7 +39,6 @@ from collinea.search import (
     _roots,
     _zn_pairs,
     enumerate_minimizers,
-    lex_least_minimizer,
     min_triples_field,
     min_triples_plane,
     min_triples_zn,
@@ -54,6 +54,12 @@ def test_config_validation():
         SearchConfig(parallel_depth=-1)
     with pytest.raises(ValueError):
         SearchConfig(mode="first_below")  # no bound
+    for bad in (-1, 2.5, "3", True):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            SearchConfig(node_limit=bad)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            SearchConfig(upper_bound_seed=bad)
+    assert SearchConfig(node_limit=0, upper_bound_seed=0).node_limit == 0
 
 
 def test_field_psi_small():
@@ -132,10 +138,10 @@ def test_enumerate_q5_all_recognized():
 
 def test_lex_least_is_least_of_enumeration():
     f5 = field_make(5)
-    least = lex_least_minimizer(f5)
+    least = min_triples_field(f5, SearchConfig(mode="lex_least")).witnesses[0]
     ws = enumerate_minimizers(f5)
-    assert least.images == min(w.images for w in ws)
-    assert least.images == closed_form_minimizer(f5).images
+    assert least == min(w.images for w in ws)
+    assert least == closed_form_minimizer(f5).images
 
 
 def test_min_value_witness_equals_lex_least():
@@ -159,15 +165,26 @@ def test_first_below_semantics():
 
 
 def test_node_limit():
-    # the limit is exact: a search that expands N nodes finishes unchanged
-    # under node_limit=N and raises under N - 1
+    # the limit is exact, sequentially and on the pool: a search that expands
+    # N nodes finishes unchanged under node_limit=N and raises under N - 1,
+    # naming the configured limit
     for kind, n in (("field", 9), ("zn", 9), ("plane", "ag_2_9")):
-        free = _search(kind, n, SearchConfig())
-        nodes = free.nodes_expanded
-        out = _search(kind, n, SearchConfig(node_limit=nodes))
-        assert (out.psi, out.witnesses, out.nodes_expanded) == (free.psi, free.witnesses, nodes)
-        with pytest.raises(NodeLimitExceeded):
-            _search(kind, n, SearchConfig(node_limit=nodes - 1))
+        for par in ({}, {"parallel_depth": 2, "threads": 2}):
+            free = _search(kind, n, SearchConfig(**par))
+            nodes = free.nodes_expanded
+            out = _search(kind, n, SearchConfig(node_limit=nodes, **par))
+            assert ((out.psi, out.witnesses, out.nodes_expanded, out.prunes)
+                    == (free.psi, free.witnesses, nodes, free.prunes))
+            with pytest.raises(NodeLimitExceeded, match=f"more than {nodes - 1} nodes"):
+                _search(kind, n, SearchConfig(node_limit=nodes - 1, **par))
+    with pytest.raises(NodeLimitExceeded, match="more than 461 nodes"):
+        _search("field", 9, SearchConfig(node_limit=461, parallel_depth=2, threads=2))
+    # at depth 2 every task of a 3-point domain is a whole permutation, so the
+    # pool expands no node and a zero limit is not exceeded
+    for kind in ("field", "zn"):
+        seq = _search(kind, 3, SearchConfig())
+        out = _search(kind, 3, SearchConfig(node_limit=0, parallel_depth=2, threads=2))
+        assert (out.psi, out.witnesses, out.nodes_expanded) == (seq.psi, seq.witnesses, 0)
 
 
 def test_seeded_incumbent_matches():
@@ -497,29 +514,64 @@ def test_seed_below_the_minimum_is_rejected():
 
 
 NODE_COUNTS = [
-    ("field", 9, "min_value", 922),
-    ("field", 9, "enumerate_all_min", 1455),
-    ("field", 11, "min_value", 11551),
-    ("zn", 9, "min_value", 3129),
-    ("zn", 9, "enumerate_all_min", 5767),
-    ("zn", 10, "min_value", 5519),
-    ("zn", 11, "min_value", 15026),
-    ("plane", "ag_2_9", "min_value", 1056),
-    ("plane", "ag_2_9", "enumerate_all_min", 1641),
-    ("plane", "hall_translation_deleted", "min_value", 12180),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 20730),
+    ("field", 9, "min_value", 922, 698),
+    ("field", 9, "enumerate_all_min", 1455, 1053),
+    ("field", 11, "min_value", 11551, 9353),
+    ("zn", 9, "min_value", 3129, 2257),
+    ("zn", 9, "enumerate_all_min", 5767, 3771),
+    ("zn", 10, "min_value", 5519, 4328),
+    ("zn", 11, "min_value", 15026, 11845),
+    ("plane", "ag_2_9", "min_value", 1056, 761),
+    ("plane", "ag_2_9", "enumerate_all_min", 1641, 1115),
+    ("plane", "hall_translation_deleted", "min_value", 12180, 8830),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 20730, 13456),
 ]
 
 
-@pytest.mark.parametrize("kind, n, mode, nodes", [
+@pytest.mark.parametrize("kind, n, mode, nodes, prunes", [
     pytest.param(*case, id="-".join(map(str, case[:3]))) for case in NODE_COUNTS])
-def test_sequential_node_counts(kind, n, mode, nodes):
+def test_sequential_node_counts(kind, n, mode, nodes, prunes):
     # one pass over the tree under the orbit-least 2-prefixes: a second
     # (collect) pass would add thousands, and losing a plane's column group
     # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced);
     # without the look-ahead bound the kernel expands 4-10x more (GF(9)
     # 4,257, GF(11) 112,853, Z_9 15,246, Z_11 127,912, ag_2_9 4,460)
-    assert _search(kind, n, SearchConfig(mode=mode)).nodes_expanded == nodes
+    out = _search(kind, n, SearchConfig(mode=mode))
+    assert (out.nodes_expanded, out.prunes) == (nodes, prunes)
+
+
+# nodes and prunes at threads 2, parallel_depth 2: waves of 2 * _WAVE_FACTOR
+# tasks, each starting from the incumbent at its wave's start
+PARALLEL_COUNTS = [
+    ("field", 9, "min_value", 1001, 780),
+    ("field", 9, "enumerate_all_min", 1406, 1053),
+    ("zn", 9, "min_value", 3705, 2545),
+    ("zn", 9, "enumerate_all_min", 6453, 3992),
+    ("zn", 10, "min_value", 7169, 5421),
+    ("plane", "ag_2_9", "min_value", 1944, 1233),
+    ("plane", "ag_2_9", "enumerate_all_min", 2856, 1628),
+    ("plane", "hall_translation_deleted", "min_value", 12266, 9027),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 20877, 13616),
+]
+
+
+@pytest.mark.parametrize("kind, n, mode, nodes, prunes", [
+    pytest.param(*case, id="-".join(map(str, case[:3]))) for case in PARALLEL_COUNTS])
+def test_parallel_node_counts(kind, n, mode, nodes, prunes):
+    out = _search(kind, n, SearchConfig(mode=mode, parallel_depth=2, threads=2))
+    assert (out.nodes_expanded, out.prunes) == (nodes, prunes)
+
+
+@pytest.mark.parametrize("kind, n", [("zn", 11), ("plane", "ag_2_9")])
+def test_parallel_counts_do_not_depend_on_cores(kind, n, monkeypatch):
+    # the wave size follows the requested thread count; only the number of
+    # processes is clamped by the cores found
+    outs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
+        outs.append((out.psi, out.witnesses, out.nodes_expanded, out.prunes))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
@@ -573,7 +625,8 @@ class _InProcessPool:
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
 def test_tasks_carry_no_kernel_context(kind, n, monkeypatch):
     # the pair table goes to each worker once, through the pool's
-    # initializer, and a task holds only its prefix, bounds and node budget
+    # initializer, and a task holds only its prefix, bounds and the nodes
+    # spent before its wave
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(search, "_worker", None)
     seq = _search(kind, n, SearchConfig())
@@ -581,7 +634,7 @@ def test_tasks_carry_no_kernel_context(kind, n, monkeypatch):
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
     assert _InProcessPool.last.args
     for args in _InProcessPool.last.args:
-        prefix, bounds, budget = args
+        prefix, bounds, spent = args
         assert len(pickle.dumps(args)) < 200
 
 

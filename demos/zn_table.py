@@ -15,8 +15,8 @@ from collinea.search import SearchConfig, min_triples_zn
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max", type=int, default=10,
-                    help="largest modulus (default 10; 12 adds about a third "
-                         "of a second, 13 about three seconds)")
+                    help="largest modulus (default 10; 11 and 12 add about a "
+                         "tenth of a second each, 13 about two and a half seconds)")
     args = ap.parse_args()
 
     print("n    minimum  lex-least witness                         time")

@@ -107,7 +107,8 @@ def count_triples(perm):
     collinear iff they share a non-vertical line, and no line of slope s holds
     two points with equal x, so summing C(m, 3) over intercept buckets of each
     slope counts every triple exactly once.  Z_n falls back to testing all
-    C(n, 3) determinants."""
+    C(n, 3) determinants, each computed as (x2-x1)(y3-y1) - (x3-x1)(y2-y1)
+    in the integers and reduced mod n once."""
     ctx = perm.ctx
     if isinstance(ctx, FieldSpec):
         q = ctx.q
@@ -119,11 +120,11 @@ def count_triples(perm):
             total += sum(comb(m, 3) for m in buckets if m > 2)
         return total
     n = ctx.n
-    pts = [(x, perm.images[x]) for x in range(n)]
+    ys = perm.images
     return sum(
         1
-        for a, b, c in itertools.combinations(pts, 3)
-        if _det3(ctx, a, b, c) == 0
+        for x1, x2, x3 in itertools.combinations(range(n), 3)
+        if ((x2 - x1) * (ys[x3] - ys[x1]) - (x3 - x1) * (ys[x2] - ys[x1])) % n == 0
     )
 
 

@@ -47,26 +47,29 @@ parallel_depth > 0 each root is split that many levels further into prefix
 tasks, which run in deterministic waves on one process pool per search.
 Sequential and parallel runs share one merge of task results, so both count
 nodes and enforce node_limit the same way.
+
+Before a search returns, _run_search recounts every witness it reports with a
+counter that shares nothing with the kernel's pair table, and raises
+AssertionError unless each recounts to psi.  Over a field that is
+count_triples (slope buckets, about q^2 field ops); over Z_n count_triples
+tests all C(n, 3) determinants in the integers, reducing each mod n once; over
+a plane it is a table built once per search from the raw incidences, cell
+(i, j) -> the lines outside the two grid classes through the point where h
+line i meets v line j, and a witness's count is C(m, 3) summed over those
+lines, m being the chosen cells on each.  None of them reads plane_grid,
+_plane_lines or a pair table.
 """
 
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from itertools import permutations
-from math import comb, gcd
+from itertools import islice, permutations
+from math import comb, gcd, perm
 
 from .algebra import FieldSpec, RingSpec
-from .collinear import (
-    PermGraph,
-    closed_form_minimizer,
-    count_triples,
-    count_triples_plane,
-    list_triples,
-    reciprocal_perm,
-    transversal_from_bijection,
-)
-from .errors import NodeLimitExceeded
+from .collinear import PermGraph, closed_form_minimizer, count_triples, reciprocal_perm
+from .errors import ClassesNotDistinct, NodeLimitExceeded
 from .plane import plane_grid
 
 MODES = ("min_value", "enumerate_all_min", "lex_least", "first_below")
@@ -87,13 +90,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.parallel_depth < 0:
-            raise ValueError("parallel_depth must be >= 0")
         if self.mode == "first_below" and self.bound is None:
             raise ValueError("first_below needs a bound")
         if self.threads is not None:
             resolve_threads(self.threads)
-        for name in ("node_limit", "upper_bound_seed"):
+        for name in ("bound", "parallel_depth", "node_limit", "upper_bound_seed"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)
                                       or value < 0):
@@ -329,13 +330,12 @@ def _pool_size(threads, tasks, cpus):
 
 
 def _prefixes(size, roots, depth):
-    """The tasks: each root extended by up to depth further distinct images,
-    in lex order."""
-    out = []
+    """The tasks, generated lazily: each root extended by up to depth further
+    distinct images, in lex order."""
     for root in roots:
         rest = [y for y in range(size) if y not in root]
-        out.extend(root + tail for tail in permutations(rest, min(depth, len(rest))))
-    return out
+        for tail in permutations(rest, min(depth, len(rest))):
+            yield root + tail
 
 
 class _Tasks:
@@ -347,24 +347,29 @@ class _Tasks:
     _WAVE_FACTOR tasks per requested worker (per core if none is requested),
     so a requested count gives node counts that do not depend on the cores.
     Waves run on one process pool per search, each worker getting the kernel
-    context once, when it starts.
+    context once, when it starts.  The prefixes of the 2-prefix roots are
+    generated one wave at a time, so at most one wave is held.
     The node limit is checked after every wave against the merged count, and
     inside each task against the nodes spent before its wave.  Use as a
     context manager: leaving it shuts the pool down."""
 
-    def __init__(self, cfg, ctx, prefixes):
+    def __init__(self, cfg, ctx, roots):
+        size = ctx[0]
+        depth = cfg.parallel_depth
         self.ctx = ctx + (cfg.node_limit,)
         self.node_limit = cfg.node_limit
         self.nodes = self.prunes = 0
         self.pool = None
         chunk = 1
-        if cfg.parallel_depth > 0:
+        if depth > 0:
             threads = resolve_threads(cfg.threads)
             cpus = os.cpu_count() or 1
             chunk = (threads or cpus) * _WAVE_FACTOR
-            self.pool = ProcessPoolExecutor(max_workers=_pool_size(threads, len(prefixes), cpus),
+            tasks = len(roots) * perm(size - 2, min(depth, size - 2))
+            self.pool = ProcessPoolExecutor(max_workers=_pool_size(threads, tasks, cpus),
                                             initializer=_init_worker, initargs=(self.ctx,))
-        self.waves = [prefixes[i : i + chunk] for i in range(0, len(prefixes), chunk)]
+        prefixes = _prefixes(size, roots, depth)
+        self.waves = iter(lambda: list(islice(prefixes, chunk)), [])
 
     def __enter__(self):
         return self
@@ -432,8 +437,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
         seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
         limit = comb(size, 3) + 1 if seed is None else seed + 1
         mode = "all" if cfg.mode == "enumerate_all_min" else "best"
-    prefixes = _prefixes(size, _roots(size, group), cfg.parallel_depth)
-    with _Tasks(cfg, (size, pairs), prefixes) as tasks:
+    with _Tasks(cfg, (size, pairs), _roots(size, group)) as tasks:
         top = tasks.search(limit, mode)
     psi = top.best if top.witnesses else None
     if psi is None and mode != "first":
@@ -491,6 +495,39 @@ def _column_group(perms):
     return group
 
 
+def _plane_recount(ap, h_class, v_class, skip):
+    """The triple count of a witness of the (h, v) grid from the raw
+    incidences: cell (i, j) is the point where h line i meets v line j, as in
+    transversal_from_bijection, and a witness counts C(m, 3) on each line
+    outside the classes in skip that holds m of its cells."""
+    q = ap.order
+    through = [[] for _ in range(ap.n_points)]
+    for li, ln in enumerate(ap.lines):
+        if li not in skip:
+            for p in ln:
+                through[p].append(li)
+    cell_lines = []
+    for hl in ap.parallel_classes[h_class]:
+        h_points = set(ap.lines[hl])
+        for vl in ap.parallel_classes[v_class]:
+            inter = h_points.intersection(ap.lines[vl])
+            if len(inter) != 1:
+                raise ClassesNotDistinct("classes do not cross properly")
+            cell_lines.append(tuple(through[inter.pop()]))
+    cols = list(range(q))
+
+    def recount(w):
+        if sorted(w) != cols:
+            raise ValueError(f"witness {w} is not a bijection on 0..{q - 1}")
+        on = [0] * len(ap.lines)
+        for i, j in enumerate(w):
+            for li in cell_lines[i * q + j]:
+                on[li] += 1
+        return sum(comb(m, 3) for m in on if m > 2)
+
+    return recount
+
+
 def min_triples_field(f, cfg=None):
     """Exact minimum number of collinear triples over all permutations of
     GF(q), with witnesses per the configured mode.  The incumbent is seeded
@@ -501,7 +538,7 @@ def min_triples_field(f, cfg=None):
     seed = count_triples(closed_form_minimizer(f) if f.p != 2 else reciprocal_perm(f))
 
     def recount(w):
-        return len(list_triples(PermGraph(f, w)))
+        return count_triples(PermGraph(f, w))
 
     # the line y = s*x + b, s nonzero, as a row -> column map is the column
     # map y -> s*y + b, so the lines and the group are one list
@@ -531,11 +568,7 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
     grid = plane_grid(ap, h_class, v_class)
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
     lines = _plane_lines(ap, grid, skip)
-
-    def recount(w):
-        gp = transversal_from_bijection(ap, h_class, v_class, w)
-        return count_triples_plane(gp)
-
+    recount = _plane_recount(ap, h_class, v_class, skip)
     return _run_search(cfg, q, _column_group(lines), _line_pairs(q, lines), recount)
 
 

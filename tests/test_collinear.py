@@ -102,6 +102,21 @@ def test_ring_counts_match_naive_oracle(n):
         assert count_quadruples(perm) == _naive_quadruples(perm)
 
 
+@pytest.mark.parametrize("n", range(3, 15))
+def test_integer_ring_count_matches_det3(n):
+    # count_triples reduces one integer determinant mod n per triple;
+    # list_triples still tests each triple through RingSpec arithmetic
+    ctx = RingSpec(n)
+    if n <= 7:
+        perms = itertools.permutations(range(n))
+    else:
+        rng = random.Random(4200 + n)
+        perms = [rng.sample(range(n), n) for _ in range(60)]
+    for images in perms:
+        perm = PermGraph(ctx, images)
+        assert count_triples(perm) == len(list_triples(perm))
+
+
 def test_list_triples_order_and_agreement():
     f5 = field_make(5)
     ident = PermGraph(f5, (0, 1, 2, 3, 4))

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import pickle
+import random
 from math import gcd
 
 import pytest
@@ -34,6 +35,8 @@ from collinea.search import (
     _column_group,
     _line_pairs,
     _plane_lines,
+    _Tasks,
+    _plane_recount,
     _pool_size,
     _prefixes,
     _roots,
@@ -55,11 +58,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(mode="first_below")  # no bound
     for bad in (-1, 2.5, "3", True):
+        for name in ("bound", "parallel_depth", "node_limit", "upper_bound_seed"):
+            with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+                SearchConfig(**{name: bad})
         with pytest.raises(ValueError, match="non-negative integer"):
-            SearchConfig(node_limit=bad)
-        with pytest.raises(ValueError, match="non-negative integer"):
-            SearchConfig(upper_bound_seed=bad)
+            SearchConfig(mode="first_below", bound=bad)
     assert SearchConfig(node_limit=0, upper_bound_seed=0).node_limit == 0
+    assert SearchConfig(mode="first_below", bound=0).bound == 0
 
 
 def test_field_psi_small():
@@ -638,12 +643,35 @@ def test_tasks_carry_no_kernel_context(kind, n, monkeypatch):
         assert len(pickle.dumps(args)) < 200
 
 
+def test_tasks_hold_one_wave_of_prefixes(monkeypatch):
+    # GF(11) at depth 8 has 9!/1! = 362,880 prefixes under its one root; the
+    # tasks must generate them a wave at a time.  Nothing is searched, and the
+    # stand-in pool starts no process.
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(search, "_worker", None)
+    made = []
+    real = search._prefixes
+
+    def counted(*args):
+        for prefix in real(*args):
+            made.append(prefix)
+            yield prefix
+
+    monkeypatch.setattr(search, "_prefixes", counted)
+    cfg = SearchConfig(parallel_depth=8, threads=2)
+    with _Tasks(cfg, (11, None), [(0, 1)]) as tasks:
+        assert made == []
+        wave = next(tasks.waves)
+    assert len(wave) == 2 * search._WAVE_FACTOR
+    assert made == wave == list(itertools.islice(real(11, [(0, 1)], 8), len(wave)))
+
+
 def test_prefix_tasks_split_below_the_roots():
-    assert _prefixes(5, [(0, 1)], 1) == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-    assert _prefixes(4, [(0, 1), (0, 2)], 2) == [
+    assert list(_prefixes(5, [(0, 1)], 1)) == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    assert list(_prefixes(4, [(0, 1), (0, 2)], 2)) == [
         (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1)]
-    assert _prefixes(3, [()], 1) == [(0,), (1,), (2,)]
-    assert _prefixes(3, [(0, 1)], 0) == [(0, 1)]
+    assert list(_prefixes(3, [()], 1)) == [(0,), (1,), (2,)]
+    assert list(_prefixes(3, [(0, 1)], 0)) == [(0, 1)]
 
 
 def test_resolve_threads(monkeypatch):
@@ -723,3 +751,68 @@ def test_outcome_json_shape():
     assert j["witnesses"] == [[0, 1, 2, 4, 3]]
     assert j["config"]["mode"] == "min_value"
     assert set(j) == {"psi", "witnesses", "nodes_expanded", "prunes", "elapsed", "config"}
+
+
+# -- the recount guard -------------------------------------------------------
+# _run_search recounts every witness with a counter that does not read the
+# kernel's pair table, so a wrong table or a malformed witness cannot pass.
+
+
+def _emptied(build):
+    def wrapped(*args):
+        return [[() for _ in row] for row in build(*args)]
+    return wrapped
+
+
+@pytest.mark.parametrize("kind, n, builder", [
+    ("field", 7, "_line_pairs"), ("zn", 9, "_zn_pairs"), ("plane", "ag_2_9", "_line_pairs")])
+def test_recount_catches_a_wrong_pair_table(kind, n, builder, monkeypatch):
+    # with every pair entry dropped the kernel counts no triple, so its first
+    # leaf claims 0 where every domain here has psi > 0
+    monkeypatch.setattr(search, builder, _emptied(getattr(search, builder)))
+    with pytest.raises(AssertionError, match="recounts to .*, search said 0"):
+        _search(kind, n, SearchConfig())
+
+
+@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 9), ("plane", "ag_2_9")])
+def test_recount_rejects_a_non_bijection(kind, n, monkeypatch):
+    real = search._pair_search
+
+    def broken(*args):
+        best, witnesses, nodes, prunes = real(*args)
+        return best, [w[:1] + w[:1] + w[2:] for w in witnesses], nodes, prunes
+
+    monkeypatch.setattr(search, "_pair_search", broken)
+    with pytest.raises(ValueError, match="bijection"):
+        _search(kind, n, SearchConfig())
+
+
+def test_every_witness_is_recounted(monkeypatch):
+    calls = []
+    real = search.count_triples
+
+    def counted(perm):
+        calls.append(perm.images)
+        return real(perm)
+
+    monkeypatch.setattr(search, "count_triples", counted)
+    out = min_triples_field(field_make(7), SearchConfig(mode="enumerate_all_min"))
+    assert len(out.witnesses) == 294
+    # the closed-form seed, then each witness once, in order
+    assert len(calls) == 1 + 294
+    assert tuple(calls[1:]) == out.witnesses
+
+
+def test_plane_recount_matches_the_transversal_count():
+    rng = random.Random(2026)
+    for name in AFFINE_FIXTURES:
+        ap = load_fixture(name)
+        for h, v in ((0, 1), (1, 0), (3, 7), (9, 2)):
+            skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
+            recount = _plane_recount(ap, h, v, skip)
+            for _ in range(15):
+                w = tuple(rng.sample(range(9), 9))
+                gp = transversal_from_bijection(ap, h, v, w)
+                assert recount(w) == count_triples_plane(gp), (name, h, v, w)
+    with pytest.raises(ValueError, match="bijection"):
+        recount((0,) * 9)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -294,3 +296,72 @@ def test_module_entry_point():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0
     assert json.loads(out.stdout)["psi"] == 1
+
+
+# -- output pin ---------------------------------------------------------------
+# Each command's stdout, with the timing values scrubbed, is pinned by SHA-256
+# next to its exit code, so a refactor of the request path cannot move a key,
+# a value, a key's position or a --tsv row unnoticed.
+
+_PINNED_CALLS = [
+    ({}, ("psi", "field", "5"), 0,
+     "8005c375cb15602c90c2e2e27efe77f9413ce210ef510b3deb4353c242f69b18"),
+    ({}, ("psi", "field", "5", "--tsv"), 0,
+     "7e8c15ca1ec17fa4810dbed8cce1e421ce31e5e37dedc8262fb559885fc130f0"),
+    ({}, ("psi", "field", "7", "--parallel-depth", "2", "--threads", "2"), 0,
+     "219752e239109073eb4c521f36d34ef07d26b994f9e46e9d659fb8ea9ed91c60"),
+    ({"COLLINEA_THREADS": "2"}, ("psi", "field", "5"), 0,
+     "f4cbbfffd514688c3582ec427a060b2933a78a6d9be51a342da5c65646bdcaaf"),
+    ({}, ("psi", "zn", "6"), 0,
+     "36037069c5653ba6e062033acacbfd14b234e41b4b3096dcb7d6a1b43d943ce2"),
+    ({}, ("psi", "plane", "ag_2_9"), 0,
+     "fc9da1fdd0753d23db6e82d819813ab3bcc1ad9ce1b7125955bbdda62a638a2d"),
+    ({}, ("psi", "plane", "ag_2_9", "--all-pairs", "--tsv"), 0,
+     "0cf450c2b143ddb81322e0cdc1c2eb9b288ab711545e751d27385f7af6cf38d9"),
+    ({}, ("lexleast", "9"), 0,
+     "89a52b0ea1b16b9454627e156ebe7a9feb003bd582030b11cacc65fe306daa06"),
+    ({}, ("minimizers", "5", "--check-fractional"), 0,
+     "8f961dbd0498898b8adc41ddc483ba5f9a789cf76e144fa62c000d07e4127eba"),
+    ({}, ("triples", "--g", "--q", "7"), 0,
+     "0abeefc453d607718196598ffc053289646af7e41496fa6f3d424ef2ef8622ce"),
+    ({}, ("quadruples", "--inv", "--q", "8"), 0,
+     "0357836a15a7fd401e972e207fd9b1b67fcc8bce80b1c693484a39ca17659351"),
+    ({}, ("lexleast",), 2,
+     "6a1f11fbd121ccff84e9a0a5aef7a40041fbf345495c93fad6e98ba8658c3ad3"),
+    ({}, ("psi", "field", "5", "--threads", "0"), 2,
+     "bc4bc2f8f3581f54e2e6f80a99b48a1477eefe851a878453778ffb736957fdad"),
+    ({"COLLINEA_THREADS": "two"}, ("psi", "field", "5"), 2,
+     "33a03a6d277ee0843fa90b68c1d37f4a60adc148b7ec001c483994db175bd882"),
+    ({}, ("psi", "plane", "ag_2_9", "--h", "20"), 3,
+     "3ad133d7fd144ccadcf547aeedc609e9fdc9d633c5543936ef7e2191ce32ae13"),
+    ({}, ("psi", "field", "7", "--node-limit", "10"), 4,
+     "0eede7cdd5e9d91e7f682abe317b3e21e423b06a713af7d2341f21f598fe87a9"),
+]
+
+
+def _scrub_timing(text):
+    return re.sub(r'((?:"elapsed"|"wall_time"): |elapsed\t|# wall_time: )[-+0-9.e]+',
+                  r"\1_", text)
+
+
+def test_cli_output_is_pinned(capsys, monkeypatch):
+    got, want = {}, {}
+    for env, argv, code, digest in _PINNED_CALLS:
+        monkeypatch.delenv("COLLINEA_THREADS", raising=False)
+        for k, v in env.items():
+            monkeypatch.setenv(k, v)
+        key = " ".join([f"{k}={v}" for k, v in env.items()] + list(argv))
+        want[key] = (code, digest)
+        got_code = cli.main(list(argv))
+        out = _scrub_timing(capsys.readouterr().out)
+        got[key] = (got_code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == want
+    # the outcome keys of a search command, in order, around its own "q" and
+    # "witness" and the manifest
+    monkeypatch.delenv("COLLINEA_THREADS", raising=False)
+    code, d = run(capsys, "psi", "field", "5")
+    assert code == 0
+    assert list(d) == ["q", "psi", "witness", "witnesses", "nodes_expanded", "prunes",
+                       "elapsed", "config", "manifest"]
+    assert d["witnesses"] == [[0, 1, 2, 4, 3]]
+    assert d["config"]["mode"] == "min_value"

@@ -50,7 +50,6 @@ from .plane import (
 from .search import (
     SearchConfig,
     SearchOutcome,
-    enumerate_minimizers,
     min_triples_field,
     min_triples_plane,
     min_triples_zn,

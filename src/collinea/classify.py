@@ -26,10 +26,6 @@ from .errors import (
     PointNotInSet,
 )
 
-# coefficient triple of the line z = 0
-LINE_Z_ZERO = (0, 0, 1)
-
-
 def normalize_point(f, v):
     """Scale a nonzero homogeneous triple so its last nonzero entry is 1."""
     x, y, z = v

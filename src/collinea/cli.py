@@ -13,6 +13,10 @@ Exit codes: 0 success, 2 usage, 3 unreadable or invalid input (also an
 invalid plane under `plane validate`), 4 node limit exceeded, 5 certificate
 failure.  `repro` exits 0 whether or not the claim holds; check the "ok"
 field.  COLLINEA_THREADS sets the default worker count.
+
+Search results are shaped here, from each SearchOutcome; `lexleast` is
+`psi field` in mode lex_least, and `triples` and `quadruples` share one
+handler.
 """
 
 import argparse
@@ -21,6 +25,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
+from itertools import combinations
 
 from . import __version__
 from .algebra import RingSpec, field_make
@@ -38,6 +44,7 @@ from .collinear import (
 from .errors import (
     CertificateFailure,
     CollineaError,
+    IncompleteSet,
     NodeLimitExceeded,
     ParseError,
     UsageError,
@@ -46,15 +53,7 @@ from .fixtures import DISTINGUISHED_CLASSES, fixture_bytes, fixture_names
 from .mols import diagonal_witness, load_mols, mols_from_plane, plane_from_mols, save_mols
 from .plane import AffinePlane, ProjectivePlane, delete_line, load_plane, save_plane, validate
 from .repro import CLAIMS, run_claim
-from .search import (
-    SearchConfig,
-    config_to_json,
-    min_triples_field,
-    min_triples_plane,
-    min_triples_zn,
-    outcome_to_json,
-    resolve_threads,
-)
+from .search import SearchConfig, min_triples_field, min_triples_plane, min_triples_zn
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,27 +152,31 @@ def _load_perm_source(args, digests):
 # -- search plumbing ---------------------------------------------------------
 
 
-def _cfg(args, mode):
+def _cfg(args):
     try:
-        return SearchConfig(mode=mode, parallel_depth=args.parallel_depth,
-                            threads=resolve_threads(args.threads),
-                            node_limit=args.node_limit,
+        return SearchConfig(mode=args.mode, parallel_depth=args.parallel_depth,
+                            threads=args.threads, node_limit=args.node_limit,
                             upper_bound_seed=args.seed_incumbent)
     except ValueError as e:
         raise UsageError(str(e)) from e
 
 
+def _config_json(cfg):
+    return None if cfg is None else asdict(cfg)
+
+
+def _search_stats(out):
+    """The keys every search result ends with."""
+    return {"nodes_expanded": out.nodes_expanded, "prunes": out.prunes,
+            "elapsed": round(out.elapsed, 6), "config": _config_json(out.config)}
+
+
 def _outcome_result(out):
-    j = outcome_to_json(out)
-    res = {"psi": j["psi"]}
-    if j["witnesses"]:
-        res["witness"] = j["witnesses"][0]
-    res["witnesses"] = j["witnesses"]
-    res["nodes_expanded"] = j["nodes_expanded"]
-    res["prunes"] = j["prunes"]
-    res["elapsed"] = round(j["elapsed"], 6)
-    res["config"] = j["config"]
-    return res
+    witnesses = [list(w) for w in out.witnesses]
+    res = {"psi": out.psi}
+    if witnesses:
+        res["witness"] = witnesses[0]
+    return {**res, "witnesses": witnesses, **_search_stats(out)}
 
 
 def _affine_or_die(plane, cmd):
@@ -187,62 +190,49 @@ def _affine_or_die(plane, cmd):
 
 
 def cmd_psi_field(args, digests):
-    cfg = _cfg(args, "min_value")
+    cfg = _cfg(args)
     out = min_triples_field(field_make(args.q), cfg)
-    res = _outcome_result(out)
-    return {"q": args.q, **res}, cfg, 0
+    return {"q": args.q, **_outcome_result(out)}, cfg, 0
 
 
 def cmd_psi_zn(args, digests):
-    cfg = _cfg(args, "min_value")
+    cfg = _cfg(args)
     out = min_triples_zn(args.n, cfg)
-    res = _outcome_result(out)
-    return {"n": args.n, **res}, cfg, 0
+    return {"n": args.n, **_outcome_result(out)}, cfg, 0
 
 
 def cmd_psi_plane(args, digests):
-    cfg = _cfg(args, "min_value")
+    cfg = _cfg(args)
     ap = _affine_or_die(load_plane(_read_plane_ref(args.plane, digests)), "psi plane")
     if args.all_pairs:
         if args.h is not None or args.v is not None:
             raise UsageError("--all-pairs excludes --h/--v")
-        rows = []
-        for h in range(len(ap.parallel_classes)):
-            for v in range(h + 1, len(ap.parallel_classes)):
-                rows.append({"h": h, "v": v, "psi": min_triples_plane(ap, h, v, cfg).psi})
+        rows = [{"h": h, "v": v, "psi": min_triples_plane(ap, h, v, cfg).psi}
+                for h, v in combinations(range(len(ap.parallel_classes)), 2)]
         return {"order": ap.order, "psi_values": sorted({r["psi"] for r in rows}),
                 "pairs": rows}, cfg, 0
     h = args.h if args.h is not None else DISTINGUISHED_CLASSES[0]
     v = args.v if args.v is not None else DISTINGUISHED_CLASSES[1]
     out = min_triples_plane(ap, h, v, cfg)
-    res = _outcome_result(out)
-    return {"order": ap.order, "h": h, "v": v, **res}, cfg, 0
+    return {"order": ap.order, "h": h, "v": v, **_outcome_result(out)}, cfg, 0
 
 
-def cmd_triples(args, digests):
+def cmd_count(args, digests):
+    """triples and quadruples: args.counters counts a permutation graph and a
+    plane transversal, and the count goes under the command's name."""
     perm = _load_perm_source(args, digests)
+    count_graph, count_transversal = args.counters
     if isinstance(perm, GenPerm):
-        res = {"triples": count_triples_plane(perm), "order": perm.plane.order,
+        res = {args.cmd_name: count_transversal(perm), "order": perm.plane.order,
                "h_class": perm.h_class, "v_class": perm.v_class,
                "cells": list(perm.cells)}
     else:
-        res = {"triples": count_triples(perm), "perm": list(perm.images)}
-    return res, None, 0
-
-
-def cmd_quadruples(args, digests):
-    perm = _load_perm_source(args, digests)
-    res = {"quadruples": count_quadruples(perm)}
-    if isinstance(perm, GenPerm):
-        res.update(order=perm.plane.order, h_class=perm.h_class,
-                   v_class=perm.v_class, cells=list(perm.cells))
-    else:
-        res["perm"] = list(perm.images)
+        res = {args.cmd_name: count_graph(perm), "perm": list(perm.images)}
     return res, None, 0
 
 
 def cmd_minimizers(args, digests):
-    cfg = _cfg(args, "enumerate_all_min")
+    cfg = _cfg(args)
     f = field_make(args.q)
     out = min_triples_field(f, cfg)
     res = {"q": args.q, "psi": out.psi, "count": len(out.witnesses),
@@ -254,16 +244,8 @@ def cmd_minimizers(args, digests):
             params.append(None if p is None else [p.alpha, p.beta, p.gamma])
         res["fractional"] = {"all_recognized": all(p is not None for p in params),
                              "params": params}
-    res.update(nodes_expanded=out.nodes_expanded, prunes=out.prunes,
-               elapsed=round(out.elapsed, 6), config=config_to_json(out.config))
+    res.update(_search_stats(out))
     return res, cfg, 0
-
-
-def cmd_lexleast(args, digests):
-    cfg = _cfg(args, "lex_least")
-    out = min_triples_field(field_make(args.q), cfg)
-    res = _outcome_result(out)
-    return {"q": args.q, **res}, cfg, 0
 
 
 def cmd_certify(args, digests):
@@ -307,6 +289,8 @@ def cmd_mols_to_plane(args, digests):
 
 def cmd_mols_diag(args, digests):
     squares = load_mols(_read_file(args.mols_file, digests))
+    if not squares:
+        raise IncompleteSet("no squares given")
     q = squares[0].order
     if args.relabeling is None:
         relab = list(range(q))
@@ -410,7 +394,7 @@ def _emit(res, manifest, tsv):
 
 
 def _manifest(command, argv, cfg, digests, t0):
-    blob = json.dumps(config_to_json(cfg), sort_keys=True).encode()
+    blob = json.dumps(_config_json(cfg), sort_keys=True).encode()
     return {"command": command, "arguments": list(argv),
             "config_hash": hashlib.sha256(blob).hexdigest(),
             "toolkit_version": __version__,
@@ -434,6 +418,7 @@ def build_parser():
                         help="abort after this many expanded nodes (exit 4)")
     search.add_argument("--seed-incumbent", type=int, default=None,
                         help="known attainable triple count to start pruning from")
+    search.set_defaults(mode="min_value")
 
     p = _Parser(prog="collinea",
                 description="Count and minimize collinear triples in "
@@ -462,7 +447,8 @@ def build_parser():
                     help="sweep every unordered class pair")
     sp.set_defaults(func=cmd_psi_plane, cmd_name="psi plane")
 
-    for name, fn in (("triples", cmd_triples), ("quadruples", cmd_quadruples)):
+    for name, counters in (("triples", (count_triples, count_triples_plane)),
+                           ("quadruples", (count_quadruples, count_quadruples))):
         sp = sub.add_parser(name, parents=[common],
                             help=f"count collinear {name} of one permutation")
         sp.add_argument("perm_file", nargs="?", default=None,
@@ -473,19 +459,19 @@ def build_parser():
                         help="use the reciprocal map x -> x^(q-2)")
         sp.add_argument("--q", type=int, default=None, help="field order")
         sp.add_argument("--zn", type=int, default=None, help="ring modulus")
-        sp.set_defaults(func=fn, cmd_name=name)
+        sp.set_defaults(func=cmd_count, cmd_name=name, counters=counters)
 
     sp = sub.add_parser("minimizers", parents=[common, search],
                         help="every minimum-attaining permutation of GF(q)")
     sp.add_argument("q", type=int)
     sp.add_argument("--check-fractional", action="store_true",
                     help="recognize each witness as a patched fractional map")
-    sp.set_defaults(func=cmd_minimizers, cmd_name="minimizers")
+    sp.set_defaults(func=cmd_minimizers, cmd_name="minimizers", mode="enumerate_all_min")
 
     sp = sub.add_parser("lexleast", parents=[common, search],
                         help="lexicographically least minimizer of GF(q)")
     sp.add_argument("q", type=int)
-    sp.set_defaults(func=cmd_lexleast, cmd_name="lexleast")
+    sp.set_defaults(func=cmd_psi_field, cmd_name="lexleast", mode="lex_least")
 
     sp = sub.add_parser("certify", parents=[common],
                         help="conic certificate for a claimed minimizer")

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import FieldSpec, RingSpec
+from .algebra import FieldSpec
 from .errors import (
     ClassesNotDistinct,
     DegenerateParams,
@@ -222,22 +222,17 @@ def reciprocal_perm(f):
 def _solve3(f, rows, rhs):
     """Unique solution of a 3x3 system over f, or None if singular."""
     m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    sol_cols = 3
-    r = 0
-    piv = []
-    for c in range(sol_cols):
-        pr = next((i for i in range(r, 3) if m[i][c] != 0), None)
+    for c in range(3):
+        pr = next((i for i in range(c, 3) if m[i][c] != 0), None)
         if pr is None:
             return None
-        m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, v) for v in m[r]]
+        m[c], m[pr] = m[pr], m[c]
+        inv = f.inv(m[c][c])
+        m[c] = [f.mul(inv, v) for v in m[c]]
         for i in range(3):
-            if i != r and m[i][c] != 0:
+            if i != c and m[i][c] != 0:
                 fac = m[i][c]
-                m[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(m[i], m[r])]
-        piv.append(c)
-        r += 1
+                m[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(m[i], m[c])]
     return tuple(m[i][3] for i in range(3))
 
 

@@ -13,6 +13,10 @@ class DivisionByZero(CollineaError, ZeroDivisionError):
     pass
 
 
+class NoSuchLine(CollineaError, IndexError):
+    pass
+
+
 class NotAPlane(CollineaError):
     pass
 

@@ -9,7 +9,7 @@ deterministic so downstream search witnesses are reproducible byte-for-byte.
 import json
 from dataclasses import dataclass, field
 
-from .errors import ClassesNotDistinct, NotAPlane, ParseError
+from .errors import ClassesNotDistinct, NoSuchLine, NotAPlane, ParseError
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,11 @@ def delete_line(pp, line_index):
 
     Surviving points are renumbered in ascending old order; surviving lines
     keep their relative order; parallel classes group lines by the deleted
-    point they used to pass through."""
+    point they used to pass through.  An index outside the lines raises
+    NoSuchLine, an IndexError."""
     q = pp.order
     if not 0 <= line_index < len(pp.lines):
-        raise IndexError(f"line index {line_index} out of range")
+        raise NoSuchLine(f"line index {line_index} out of range")
     removed = set(pp.lines[line_index])
     keep = [p for p in range(pp.n_points) if p not in removed]
     new_index = {p: i for i, p in enumerate(keep)}
@@ -324,8 +325,11 @@ def load_plane(data, strict=True):
     n_expect = order * order + (order + 1 if kind == "projective" else 0)
     if obj["points"] != n_expect:
         raise NotAPlane(f"point count {obj['points']}, expected {n_expect} for order {order}")
+    tags = obj.get("labels", {})
+    if not isinstance(tags, dict):
+        raise ParseError("labels must be an object")
     labels = {}
-    for k, v in obj.get("labels", {}).items():
+    for k, v in tags.items():
         try:
             labels[int(k)] = str(v)
         except ValueError as e:
@@ -335,7 +339,11 @@ def load_plane(data, strict=True):
         plane = ProjectivePlane(order, tuple(lines), labels, prov)
     else:
         if "parallel_classes" in obj:
-            classes = tuple(tuple(c) for c in obj["parallel_classes"])
+            classes = obj["parallel_classes"]
+            if not isinstance(classes, list) or not all(
+                    isinstance(c, list) and all(isinstance(j, int) for j in c) for c in classes):
+                raise ParseError("parallel_classes must be an array of integer arrays")
+            classes = tuple(tuple(c) for c in classes)
         else:
             classes = parallel_classes(lines, order)
         plane = AffinePlane(order, tuple(lines), classes, labels, prov)

@@ -15,7 +15,7 @@ runs especially) pay for each search once.
 import itertools
 import random
 import time
-from math import comb
+from functools import cache
 
 from .algebra import RingSpec, field_make
 from .classify import certify_minimizer, count_covered_lines, lift_graph
@@ -42,37 +42,23 @@ from .fixtures import (
 )
 from .mols import check_orthogonal, mols_from_plane, plane_from_mols
 from .plane import affine_plane, validate
-from .search import (
-    SearchConfig,
-    min_triples_field,
-    min_triples_plane,
-    min_triples_zn,
-)
-
-_cache = {}
+from .search import SearchConfig, min_triples_field, min_triples_plane, min_triples_zn
 
 
+@cache
 def field_outcome(q, mode="min_value"):
-    key = ("field", q, mode)
-    if key not in _cache:
-        f = field_make(q)
-        _cache[key] = min_triples_field(f, SearchConfig(mode=mode))
-    return _cache[key]
+    return min_triples_field(field_make(q), SearchConfig(mode=mode))
 
 
+@cache
 def zn_outcome(n):
-    key = ("zn", n, "min_value")
-    if key not in _cache:
-        _cache[key] = min_triples_zn(n, SearchConfig())
-    return _cache[key]
+    return min_triples_zn(n, SearchConfig())
 
 
+@cache
 def plane_outcome(name):
-    key = ("plane", name, "min_value")
-    if key not in _cache:
-        h, v = DISTINGUISHED_CLASSES
-        _cache[key] = min_triples_plane(load_fixture(name), h, v, SearchConfig())
-    return _cache[key]
+    h, v = DISTINGUISHED_CLASSES
+    return min_triples_plane(load_fixture(name), h, v, SearchConfig())
 
 
 def _claim(claim_id, title, expected, observed, ok):

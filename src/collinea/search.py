@@ -63,11 +63,11 @@ _plane_lines or a pair table.
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from itertools import islice, permutations
 from math import comb, gcd, perm
 
-from .algebra import FieldSpec, RingSpec
+from .algebra import RingSpec
 from .collinear import PermGraph, closed_form_minimizer, count_triples, reciprocal_perm
 from .errors import ClassesNotDistinct, NodeLimitExceeded
 from .plane import plane_grid
@@ -80,10 +80,14 @@ _WAVE_FACTOR = 8
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A search's mode and limits.  threads is resolved once, here, by
+    resolve_threads: COLLINEA_THREADS is read when the config is built, and
+    everything downstream reads the stored worker count."""
+
     mode: str = "min_value"
     bound: int = None  # first_below only: find a witness with count < bound
     parallel_depth: int = 0
-    threads: int = None  # worker cap; None defers to resolve_threads
+    threads: int = None
     node_limit: int = None
     upper_bound_seed: int = None  # must be a count achieved by a known witness
 
@@ -92,8 +96,7 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "first_below" and self.bound is None:
             raise ValueError("first_below needs a bound")
-        if self.threads is not None:
-            resolve_threads(self.threads)
+        object.__setattr__(self, "threads", resolve_threads(self.threads))
         for name in ("bound", "parallel_depth", "node_limit", "upper_bound_seed"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)
@@ -109,22 +112,6 @@ class SearchOutcome:
     prunes: int
     elapsed: float
     config: SearchConfig
-
-
-def config_to_json(cfg):
-    """The JSON form of a SearchConfig, or None for no config."""
-    return None if cfg is None else asdict(cfg)
-
-
-def outcome_to_json(outcome):
-    return {
-        "psi": outcome.psi,
-        "witnesses": [list(w) for w in outcome.witnesses],
-        "nodes_expanded": outcome.nodes_expanded,
-        "prunes": outcome.prunes,
-        "elapsed": outcome.elapsed,
-        "config": config_to_json(outcome.config),
-    }
 
 
 # -- the incumbent -----------------------------------------------------------
@@ -362,11 +349,10 @@ class _Tasks:
         self.pool = None
         chunk = 1
         if depth > 0:
-            threads = resolve_threads(cfg.threads)
             cpus = os.cpu_count() or 1
-            chunk = (threads or cpus) * _WAVE_FACTOR
+            chunk = (cfg.threads or cpus) * _WAVE_FACTOR
             tasks = len(roots) * perm(size - 2, min(depth, size - 2))
-            self.pool = ProcessPoolExecutor(max_workers=_pool_size(threads, tasks, cpus),
+            self.pool = ProcessPoolExecutor(max_workers=_pool_size(cfg.threads, tasks, cpus),
                                             initializer=_init_worker, initargs=(self.ctx,))
         prefixes = _prefixes(size, roots, depth)
         self.waves = iter(lambda: list(islice(prefixes, chunk)), [])
@@ -429,7 +415,8 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
     """Run cfg's mode over the completions of the orbit-least 2-prefixes of
     group, a list of column maps (tuples) that includes the identity, on the
     kernel with pair table pairs.  enumerate_all_min expands the minimizers
-    found there by group."""
+    found there by group.  cfg None runs the default SearchConfig."""
+    cfg = cfg or SearchConfig()
     t0 = time.perf_counter()
     if cfg.mode == "first_below":
         limit, mode = cfg.bound, "first"
@@ -533,7 +520,6 @@ def min_triples_field(f, cfg=None):
     GF(q), with witnesses per the configured mode.  The incumbent is seeded
     from the closed-form family (odd q) or the reciprocal map (even q), unless
     cfg gives a seed or a first_below bound."""
-    cfg = cfg or SearchConfig()
     q = f.q
     seed = count_triples(closed_form_minimizer(f) if f.p != 2 else reciprocal_perm(f))
 
@@ -550,7 +536,6 @@ def min_triples_zn(n, cfg=None):
     """Exact minimum under determinant-mod-n collinearity."""
     if n < 3:
         raise ValueError("need n >= 3")
-    cfg = cfg or SearchConfig()
     ring = RingSpec(n)
     units = [c for c in range(1, n) if gcd(c, n) == 1]
 
@@ -563,31 +548,9 @@ def min_triples_zn(n, cfg=None):
 def min_triples_plane(ap, h_class, v_class, cfg=None):
     """Exact minimum over transversals of the (h, v) grid; witnesses are
     column tuples (row i picks column witness[i])."""
-    cfg = cfg or SearchConfig()
     q = ap.order
     grid = plane_grid(ap, h_class, v_class)
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
     lines = _plane_lines(ap, grid, skip)
     recount = _plane_recount(ap, h_class, v_class, skip)
     return _run_search(cfg, q, _column_group(lines), _line_pairs(q, lines), recount)
-
-
-def _dispatch(target, cfg):
-    if isinstance(target, FieldSpec):
-        return min_triples_field(target, cfg)
-    if isinstance(target, RingSpec):
-        return min_triples_zn(target.n, cfg)
-    if isinstance(target, tuple) and len(target) == 3:
-        ap, h, v = target
-        return min_triples_plane(ap, h, v, cfg)
-    raise TypeError("target must be FieldSpec, RingSpec, or (plane, h, v)")
-
-
-def enumerate_minimizers(target, cfg=None):
-    """All minimum-attaining witnesses in lexicographic order.  Field and
-    ring targets come back as PermGraphs, plane targets as column tuples."""
-    cfg = replace(cfg or SearchConfig(), mode="enumerate_all_min")
-    out = _dispatch(target, cfg)
-    if isinstance(target, (FieldSpec, RingSpec)):
-        return [PermGraph(target, w) for w in out.witnesses]
-    return list(out.witnesses)

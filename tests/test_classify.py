@@ -37,7 +37,7 @@ from collinea.errors import (
     PointNotInSet,
 )
 from collinea.plane import projective_plane
-from collinea.search import enumerate_minimizers
+from collinea.search import SearchConfig, min_triples_field
 
 
 def test_normalize_point():
@@ -329,7 +329,9 @@ def _bundle_digest(perms):
 def test_certificate_bundles_are_pinned():
     """Byte-for-byte bundles of every GF(9) minimizer and a fixed GF(25)
     sample of fractional maps, as the line-sweep certification gave them."""
-    gf9 = enumerate_minimizers(field_make(9))
+    f9 = field_make(9)
+    gf9 = [PermGraph(f9, w) for w in
+           min_triples_field(f9, SearchConfig(mode="enumerate_all_min")).witnesses]
     assert len(gf9) == 648
     f25 = field_make(25)
     rng = random.Random(25)

@@ -263,6 +263,34 @@ def test_plane_delete_line_roundtrip(capsys, tmp_path):
     assert run(capsys, "plane", "delete-line", out, "0")[0] == 2
 
 
+def test_hostile_plane_files_fail_cleanly(capsys, tmp_path):
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    bad = tmp_path / "bad.json"
+    for key, value in (("parallel_classes", 5), ("parallel_classes", [[0, "a"]]),
+                       ("labels", [1, 2])):
+        bad.write_text(json.dumps({**obj, key: value}))
+        for argv in (("plane", "info"), ("plane", "validate"), ("psi", "plane")):
+            code, d = run(capsys, *argv, str(bad))
+            assert (code, d["error"]["type"]) == (3, "ParseError"), (key, argv)
+
+
+def test_plane_delete_line_index_out_of_range(capsys, tmp_path):
+    pf = tmp_path / "pg3.json"
+    pf.write_bytes(save_plane(projective_plane(field_make(3))))
+    for index in ("13", "99", "-1"):
+        code, d = run(capsys, "plane", "delete-line", str(pf), index)
+        assert (code, d["error"]["type"]) == (3, "NoSuchLine")
+        assert d["error"]["exit_code"] == 3
+
+
+def test_mols_commands_on_no_squares(capsys, tmp_path):
+    mf = tmp_path / "m.json"
+    mf.write_text(json.dumps({"order": 3, "squares": []}))
+    for argv in (("mols", "diag-witness"), ("mols", "to-plane")):
+        code, d = run(capsys, *argv, str(mf))
+        assert (code, d["error"]["type"]) == (3, "IncompleteSet"), argv
+
+
 def test_plane_info_unknown_fixture(capsys):
     code, d = run(capsys, "plane", "info", "no_such_plane")
     assert code == 3

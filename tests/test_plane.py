@@ -101,8 +101,9 @@ def test_delete_any_line_gives_affine():
         af = delete_line(pp, i)
         assert len(af.lines) == 12
         assert validate(af).ok
-    with pytest.raises(IndexError):
-        delete_line(pp, 13)
+    for bad in (13, -1):
+        with pytest.raises(IndexError):
+            delete_line(pp, bad)
 
 
 def test_delete_line_keeps_labels():
@@ -213,6 +214,20 @@ def test_load_rejects_schema_problems():
     obj = json.loads(save_plane(affine_plane(field_make(3))))
     obj["points"] = 10
     with pytest.raises(NotAPlane):
+        load_plane(json.dumps(obj))
+    # shapes the rest of the toolkit would trip over, rejected before validate
+    classes = json.loads(save_plane(affine_plane(field_make(3))))["parallel_classes"]
+    classes[1][2] = "a"
+    for key, value in (("parallel_classes", 5), ("parallel_classes", classes),
+                       ("parallel_classes", [5, 6]), ("labels", [1, 2])):
+        obj = json.loads(save_plane(affine_plane(field_make(3))))
+        obj[key] = value
+        for strict in (True, False):
+            with pytest.raises(ParseError, match=key):
+                load_plane(json.dumps(obj), strict=strict)
+    obj = json.loads(save_plane(projective_plane(field_make(3))))
+    obj["labels"] = "at-infinity"
+    with pytest.raises(ParseError, match="labels"):
         load_plane(json.dumps(obj))
 
 

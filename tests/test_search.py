@@ -9,6 +9,7 @@ import json
 import os
 import pickle
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -41,11 +42,9 @@ from collinea.search import (
     _prefixes,
     _roots,
     _zn_pairs,
-    enumerate_minimizers,
     min_triples_field,
     min_triples_plane,
     min_triples_zn,
-    outcome_to_json,
     resolve_threads,
 )
 
@@ -123,29 +122,29 @@ def test_witnesses_recount_externally():
 
 
 def test_enumerate_q3_gives_all_six():
-    ws = enumerate_minimizers(field_make(3))
+    ws = min_triples_field(field_make(3), SearchConfig(mode="enumerate_all_min")).witnesses
     assert len(ws) == 6
-    assert sorted(w.images for w in ws) == sorted(itertools.permutations(range(3)))
+    assert sorted(ws) == sorted(itertools.permutations(range(3)))
 
 
 def test_enumerate_q5_all_recognized():
     f5 = field_make(5)
-    ws = enumerate_minimizers(f5)
-    assert all(recognize_fractional(w) is not None for w in ws)
+    ws = min_triples_field(f5, SearchConfig(mode="enumerate_all_min")).witnesses
+    assert all(recognize_fractional(PermGraph(f5, w)) is not None for w in ws)
     # distinct fractional permutations with the minimum count
     family = set()
     for a, b, g in itertools.product(range(5), repeat=3):
         if f5.mul(a, g) != b:
             family.add(fractional_perm(f5, FracParams(a, b, g)).images)
     assert len(ws) == len(family) == 100
-    assert [w.images for w in ws] == sorted(w.images for w in ws)
+    assert list(ws) == sorted(ws)
 
 
 def test_lex_least_is_least_of_enumeration():
     f5 = field_make(5)
     least = min_triples_field(f5, SearchConfig(mode="lex_least")).witnesses[0]
-    ws = enumerate_minimizers(f5)
-    assert least == min(w.images for w in ws)
+    ws = min_triples_field(f5, SearchConfig(mode="enumerate_all_min")).witnesses
+    assert least == min(ws)
     assert least == closed_form_minimizer(f5).images
 
 
@@ -692,6 +691,30 @@ def test_resolve_threads(monkeypatch):
             SearchConfig(threads=bad)
 
 
+def test_config_resolves_threads_once(monkeypatch):
+    monkeypatch.setenv("COLLINEA_THREADS", "3")
+    cfg = SearchConfig()
+    assert cfg.threads == 3
+    monkeypatch.setenv("COLLINEA_THREADS", "5")
+    assert replace(cfg, mode="lex_least").threads == 3
+    assert SearchConfig(threads=2).threads == 2
+    monkeypatch.setenv("COLLINEA_THREADS", "two")
+    with pytest.raises(ValueError, match="COLLINEA_THREADS"):
+        SearchConfig()  # a sequential config too
+    monkeypatch.delenv("COLLINEA_THREADS")
+    assert SearchConfig().threads is None
+
+
+@pytest.mark.parametrize("mode", ["min_value", "enumerate_all_min"])
+def test_parallel_threads_from_the_environment(mode, monkeypatch):
+    # COLLINEA_THREADS=2 sizes the waves as threads=2 does
+    monkeypatch.setenv("COLLINEA_THREADS", "2")
+    out = min_triples_field(field_make(9), SearchConfig(mode=mode, parallel_depth=2))
+    assert out.config.threads == 2
+    pin = [c[3:] for c in PARALLEL_COUNTS if c[:3] == ("field", 9, mode)]
+    assert [(out.nodes_expanded, out.prunes)] == pin
+
+
 def test_pool_size_is_clamped():
     # huge requests are checked through the clamp alone: no process is started
     assert _pool_size(10**6, 10**6, 2) == 2
@@ -742,15 +765,6 @@ def test_plane_search_any_class_pair():
         min_triples_plane(pl, 2, 2)
     with pytest.raises(ValueError):
         min_triples_plane(pl, 0, 9)
-
-
-def test_outcome_json_shape():
-    out = min_triples_field(field_make(5))
-    j = outcome_to_json(out)
-    assert j["psi"] == 2
-    assert j["witnesses"] == [[0, 1, 2, 4, 3]]
-    assert j["config"]["mode"] == "min_value"
-    assert set(j) == {"psi", "witnesses", "nodes_expanded", "prunes", "elapsed", "config"}
 
 
 # -- the recount guard -------------------------------------------------------

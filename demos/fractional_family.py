@@ -10,9 +10,8 @@ import argparse
 from collections import Counter
 
 from collinea.algebra import field_make
-from collinea.collinear import (FracParams, PermGraph, count_triples,
-                                fractional_perm, recognize_fractional)
-from collinea.errors import DegenerateParams
+from collinea.collinear import (PermGraph, count_triples, fractional_family,
+                                recognize_fractional)
 from collinea.search import SearchConfig, min_triples_field
 
 
@@ -33,17 +32,9 @@ def main():
         recognized["recognized" if p is not None else "NOT recognized"] += 1
     print(f"recognizer verdicts over all minimizers: {dict(recognized)}")
 
-    counts = Counter()
-    seen = set()
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                try:
-                    perm = fractional_perm(f, FracParams(a, b, c))
-                except DegenerateParams:
-                    continue
-                counts[count_triples(perm)] += 1
-                seen.add(perm.images)
+    family = fractional_family(f)
+    counts = Counter(count_triples(perm) for perm in family)
+    seen = {perm.images for perm in family}
     print(f"parameter sweep: {sum(counts.values())} valid (alpha,beta,gamma) triples, "
           f"{len(seen)} distinct permutations, triple counts {dict(counts)}")
 

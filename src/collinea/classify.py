@@ -209,6 +209,8 @@ def _certify(perm):
     set and the recognized fractional parameters it was checked against."""
     f = perm.ctx
     q = f.q
+    if f.p == 2:
+        raise EvenCharacteristic("certificates need odd q")
     if count_triples(perm) != (q - 1) // 2:
         raise CertificateFailure(
             "minimizer_precondition", f"permutation has more than {(q-1)//2} triples"
@@ -220,7 +222,7 @@ def _certify(perm):
     if len(hits) > 1:
         raise CertificateFailure("conic_fit", "external point is not unique")
     ext, cert = hits[0]
-    if f.p != 2 and classify_conic(cert.coeffs, f) != "nondegenerate_irreducible":
+    if not cert.nondegenerate:
         raise CertificateFailure("nondegeneracy", f"conic {cert.coeffs} is degenerate")
     a, b = cert.coeffs[0], cert.coeffs[1]
     if a != 0 or b != 0:
@@ -242,10 +244,11 @@ def _certify(perm):
 
 
 def certify_minimizer(perm):
-    """Full certificate for a (q-1)/2-triple permutation: a nondegenerate
-    conic through q+1 of the lifted points with the leftover point external,
-    conic coefficients with a = b = 0, external point affine and matching the
-    recognized fractional parameters.
+    """Full certificate for a (q-1)/2-triple permutation of GF(q), q odd
+    (EvenCharacteristic otherwise, where the conic test does not apply): a
+    nondegenerate conic through q+1 of the lifted points with the leftover
+    point external, conic coefficients with a = b = 0, external point affine
+    and matching the recognized fractional parameters.
 
     The external point is found by drop-one fitting, not assumed: for q >= 5
     two distinct conics share at most 4 points, so only the genuine external

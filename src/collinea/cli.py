@@ -51,7 +51,8 @@ from .errors import (
 )
 from .fixtures import DISTINGUISHED_CLASSES, fixture_bytes, fixture_names
 from .mols import diagonal_witness, load_mols, mols_from_plane, plane_from_mols, save_mols
-from .plane import AffinePlane, ProjectivePlane, delete_line, load_plane, save_plane, validate
+from .plane import (AffinePlane, ProjectivePlane, delete_line, is_json_int, load_plane,
+                    save_plane, validate)
 from .repro import CLAIMS, run_claim
 from .search import SearchConfig, min_triples_field, min_triples_plane, min_triples_zn
 
@@ -105,8 +106,7 @@ def _json_of(data, what):
 
 
 def _int_array(obj, what):
-    if not isinstance(obj, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in obj):
+    if not isinstance(obj, list) or not all(is_json_int(v) for v in obj):
         raise ParseError(f"{what}: expected a JSON array of integers")
     return obj
 
@@ -138,10 +138,13 @@ def _load_perm_source(args, digests):
         plane = load_plane(_read_plane_ref(str(obj.get("plane", "")), digests,
                                            base=os.path.dirname(args.perm_file)))
         try:
-            return GenPerm(plane, int(obj["h_class"]), int(obj["v_class"]),
-                           tuple(_int_array(obj["cells"], "cells")))
+            h, v = obj["h_class"], obj["v_class"]
+            cells = tuple(_int_array(obj["cells"], "cells"))
         except KeyError as e:
             raise ParseError(f"{args.perm_file}: missing field {e}") from e
+        if not (is_json_int(h) and is_json_int(v)):
+            raise ParseError(f"{args.perm_file}: h_class and v_class must be integers")
+        return GenPerm(plane, h, v, cells)
     images = _int_array(obj, args.perm_file)
     try:
         return PermGraph(_perm_context(args), tuple(images))

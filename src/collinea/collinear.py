@@ -4,6 +4,12 @@ Works in three settings: GF(q) (slope-bucket counting), Z_n (exhaustive
 determinant tests; collinearity there is *defined* as vanishing of the same
 determinant mod n), and abstract affine planes (line intersection counts
 against a transversal).
+
+Over GF(q) it also defines the patched fractional maps (alpha*x + beta) /
+(x + gamma) with sigma(-gamma) = alpha, the paper's minimizers.
+fractional_perm is their one rule: the closed-form minimizer, the reciprocal
+map and fractional_family are built through it, and recognize_fractional
+inverts it one pole at a time.
 """
 
 import itertools
@@ -111,14 +117,7 @@ def count_triples(perm):
     in the integers and reduced mod n once."""
     ctx = perm.ctx
     if isinstance(ctx, FieldSpec):
-        q = ctx.q
-        total = 0
-        for s in range(q):
-            buckets = [0] * q
-            for x in range(q):
-                buckets[ctx.sub(perm.images[x], ctx.mul(s, x))] += 1
-            total += sum(comb(m, 3) for m in buckets if m > 2)
-        return total
+        return _slope_count(perm, 3)
     n = ctx.n
     ys = perm.images
     return sum(
@@ -150,20 +149,26 @@ def count_quadruples(obj):
         return _plane_line_count(obj, 4)
     ctx = obj.ctx
     if isinstance(ctx, FieldSpec):
-        q = ctx.q
-        total = 0
-        for s in range(q):
-            buckets = [0] * q
-            for x in range(q):
-                buckets[ctx.sub(obj.images[x], ctx.mul(s, x))] += 1
-            total += sum(comb(m, 4) for m in buckets if m > 3)
-        return total
+        return _slope_count(obj, 4)
     n = ctx.n
     pts = [(x, obj.images[x]) for x in range(n)]
     total = 0
     for quad in itertools.combinations(pts, 4):
         if all(_det3(ctx, *tri) == 0 for tri in itertools.combinations(quad, 3)):
             total += 1
+    return total
+
+
+def _slope_count(perm, r):
+    """C(m, r) summed over the (slope, intercept) buckets of a field graph."""
+    f = perm.ctx
+    q = f.q
+    total = 0
+    for s in range(q):
+        buckets = [0] * q
+        for x in range(q):
+            buckets[f.sub(perm.images[x], f.mul(s, x))] += 1
+        total += sum(comb(m, r) for m in buckets if m >= r)
     return total
 
 
@@ -188,16 +193,6 @@ def count_triples_plane(gp):
     return _plane_line_count(gp, 3)
 
 
-def closed_form_minimizer(f):
-    """The explicit odd-q minimizer: x maps to 1 at x = 1, else x/(x-1)."""
-    if f.p == 2:
-        raise EvenCharacteristic("closed form needs odd q")
-    images = []
-    for x in range(f.q):
-        images.append(1 if x == 1 else f.div(x, f.sub(x, 1)))
-    return PermGraph(f, tuple(images))
-
-
 def fractional_perm(f, params):
     """sigma(x) = (alpha*x + beta)/(x + gamma) away from the pole, patched by
     sigma(-gamma) = alpha."""
@@ -205,71 +200,55 @@ def fractional_perm(f, params):
     if f.mul(a, g) == b:
         raise DegenerateParams("alpha*gamma = beta collapses the map")
     pole = f.neg(g)
-    images = []
-    for x in range(f.q):
-        if x == pole:
-            images.append(a)
-        else:
-            images.append(f.div(f.add(f.mul(a, x), b), f.add(x, g)))
+    images = (a if x == pole else f.div(f.add(f.mul(a, x), b), f.add(x, g))
+              for x in range(f.q))
     return PermGraph(f, tuple(images))
+
+
+def fractional_family(f):
+    """Every patched fractional map over f, one per valid parameter triple in
+    (alpha, beta, gamma) order: q^2(q-1) maps."""
+    return [fractional_perm(f, FracParams(a, b, g))
+            for a, b, g in itertools.product(range(f.q), repeat=3)
+            if f.mul(a, g) != b]
+
+
+def closed_form_minimizer(f):
+    """The explicit odd-q minimizer: x maps to 1 at x = 1, else x/(x-1)."""
+    if f.p == 2:
+        raise EvenCharacteristic("closed form needs odd q")
+    return fractional_perm(f, FracParams(1, 0, f.neg(1)))
 
 
 def reciprocal_perm(f):
     """x maps to 1/x, with 0 fixed."""
-    return PermGraph(f, tuple(f.inv(x) if x else 0 for x in range(f.q)))
-
-
-def _solve3(f, rows, rhs):
-    """Unique solution of a 3x3 system over f, or None if singular."""
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for c in range(3):
-        pr = next((i for i in range(c, 3) if m[i][c] != 0), None)
-        if pr is None:
-            return None
-        m[c], m[pr] = m[pr], m[c]
-        inv = f.inv(m[c][c])
-        m[c] = [f.mul(inv, v) for v in m[c]]
-        for i in range(3):
-            if i != c and m[i][c] != 0:
-                fac = m[i][c]
-                m[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(m[i], m[c])]
-    return tuple(m[i][3] for i in range(3))
+    return fractional_perm(f, FracParams(0, 1, 0))
 
 
 def recognize_fractional(perm):
-    """Recover FracParams reproducing perm exactly, or None.
+    """The least FracParams (alpha, beta, gamma) whose map is perm, or None.
 
-    sigma(x)*(x + gamma) = alpha*x + beta is linear in (alpha, beta, gamma);
-    three probe points pin the parameters when their graph points are not
-    collinear.  Probes start at (0, 1, 2) and fall back through the other
-    triples; each solution is verified against all q points before being
-    returned, so the answer is the verified solution of the first workable
-    probe."""
+    A pole -gamma fixes alpha = sigma(-gamma) by the patch, and one point x1
+    off the pole then fixes beta = sigma(x1)(x1 + gamma) - alpha*x1.  So each
+    gamma leaves one candidate, kept when alpha*gamma != beta and
+    sigma(x)(x + gamma) = alpha*x + beta at every x off the pole.  For q >= 5
+    at most one candidate is kept, since two Moebius maps that agree at three
+    or more points are equal, so which one is least matters only at q <= 4."""
     f = perm.ctx
-    if not isinstance(f, FieldSpec) or f.q < 3:
+    if not isinstance(f, FieldSpec):
         return None
-    q = f.q
-    for xs in itertools.combinations(range(q), 3):
-        rows = [(x, 1, f.neg(perm.images[x])) for x in xs]
-        rhs = [f.mul(perm.images[x], x) for x in xs]
-        sol = _solve3(f, rows, rhs)
-        if sol is None:
-            continue
-        a, b, g = sol
-        if f.mul(a, g) == b:
-            continue
-        if fractional_perm(f, FracParams(a, b, g)).images == perm.images:
-            return FracParams(a, b, g)
-    if all(_det3(f, *[(x, perm.images[x]) for x in xs]) == 0
-           for xs in itertools.combinations(range(q), 3)):
-        # fully collinear graph: every probe system is singular (only possible
-        # at q = 3), so brute-force the parameter cube
-        for a, b, g in itertools.product(range(q), repeat=3):
-            if f.mul(a, g) == b:
-                continue
-            if fractional_perm(f, FracParams(a, b, g)).images == perm.images:
-                return FracParams(a, b, g)
-    return None
+    ys = perm.images
+    kept = []
+    for g in range(f.q):
+        pole = f.neg(g)
+        a = ys[pole]
+        x1 = 1 if pole == 0 else 0
+        b = f.sub(f.mul(ys[x1], f.add(x1, g)), f.mul(a, x1))
+        if f.mul(a, g) != b and all(
+                f.mul(ys[x], f.add(x, g)) == f.add(f.mul(a, x), b)
+                for x in range(f.q) if x != pole):
+            kept.append((a, b, g))
+    return FracParams(*min(kept)) if kept else None
 
 
 def transversal_from_bijection(plane, h_class, v_class, pi):

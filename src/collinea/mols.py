@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import IncompleteSet, NotOrthogonal, OrderMismatch, ParseError
-from .plane import AffinePlane, plane_grid
+from .plane import AffinePlane, is_json_int, plane_grid
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def load_mols(data):
     out = []
     for idx, sq in enumerate(obj["squares"]):
         if not isinstance(sq, list) or not all(
-            isinstance(r, list) and all(isinstance(v, int) for v in r) for r in sq
+            isinstance(r, list) and all(is_json_int(v) for v in r) for r in sq
         ):
             raise ParseError(f"square {idx} must be an array of integer arrays")
         try:

@@ -291,6 +291,11 @@ def save_plane(plane):
     return json.dumps(obj, indent=1).encode()
 
 
+def is_json_int(v):
+    """A JSON integer: bool is an int subclass, but true/false are not numbers."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_plane(data, strict=True):
     """Parse and fully validate a plane file; validation failures are fatal.
     strict=False skips the axiom check (parse errors stay fatal) so a caller
@@ -319,10 +324,12 @@ def load_plane(data, strict=True):
         raise ParseError("lines must be an array")
     lines = []
     for ln in obj["lines"]:
-        if not isinstance(ln, list) or not all(isinstance(p, int) for p in ln):
+        if not isinstance(ln, list) or not all(is_json_int(p) for p in ln):
             raise ParseError("each line must be an array of integers")
         lines.append(tuple(sorted(ln)))
     n_expect = order * order + (order + 1 if kind == "projective" else 0)
+    if not is_json_int(obj["points"]):
+        raise ParseError("points must be an integer")
     if obj["points"] != n_expect:
         raise NotAPlane(f"point count {obj['points']}, expected {n_expect} for order {order}")
     tags = obj.get("labels", {})
@@ -341,7 +348,7 @@ def load_plane(data, strict=True):
         if "parallel_classes" in obj:
             classes = obj["parallel_classes"]
             if not isinstance(classes, list) or not all(
-                    isinstance(c, list) and all(isinstance(j, int) for j in c) for c in classes):
+                    isinstance(c, list) and all(is_json_int(j) for j in c) for c in classes):
                 raise ParseError("parallel_classes must be an array of integer arrays")
             classes = tuple(tuple(c) for c in classes)
         else:

@@ -12,7 +12,6 @@ Search outcomes are cached per process so overlapping claims (the q = 13
 runs especially) pay for each search once.
 """
 
-import itertools
 import random
 import time
 from functools import cache
@@ -26,6 +25,7 @@ from .collinear import (
     count_quadruples,
     count_triples,
     count_triples_plane,
+    fractional_family,
     fractional_perm,
     list_triples,
     reciprocal_perm,
@@ -74,14 +74,6 @@ def _claim_1():
                   expected, observed, observed == expected)
 
 
-def _fractional_family(f):
-    """Every patched fractional map over f: the q^2(q-1) parameter triples
-    with alpha*gamma != beta."""
-    return [fractional_perm(f, FracParams(a, b, g))
-            for a, b, g in itertools.product(range(f.q), repeat=3)
-            if f.mul(a, g) != b]
-
-
 def _prefix_012_maps(f):
     """Images of the fractional maps with sigma(0), sigma(1), sigma(2) = 0, 1, 2.
 
@@ -102,7 +94,7 @@ def _claim_2():
     for q in (5, 7, 9, 11, 13):
         f = field_make(q)
         lex = field_outcome(q, "lex_least").witnesses[0]
-        family = [pg.images for pg in _fractional_family(f)]
+        family = [pg.images for pg in fractional_family(f)]
         g = closed_form_minimizer(f).images
         least = lex == min(family)
         prefix = {im for im in family if im[:3] == (0, 1, 2)} == _prefix_012_maps(f)
@@ -126,7 +118,7 @@ def _claim_3():
         f = field_make(q)
         wits = [PermGraph(f, w) for w in field_outcome(q, "enumerate_all_min").witnesses]
         recog = all(recognize_fractional(w) is not None for w in wits)
-        family = _fractional_family(f)
+        family = fractional_family(f)
         target = (q - 1) // 2
         converse = all(count_triples(pg) == target for pg in family)
         ok = ok and recog

@@ -168,6 +168,14 @@ def test_certify_closed_form():
     assert cert7.external_point == (1, 1, 1)
 
 
+@pytest.mark.parametrize("q", [4, 8])
+def test_certify_rejects_even_q(q):
+    # the reciprocal map has 0 triples there, fewer than (q-1)/2, so the
+    # precondition would give a false reason; the conic test needs odd q
+    with pytest.raises(EvenCharacteristic):
+        certify_minimizer(reciprocal_perm(field_make(q)))
+
+
 def test_certify_rejects_non_minimizer():
     with pytest.raises(CertificateFailure) as e:
         certify_minimizer(PermGraph(field_make(5), (0, 1, 2, 3, 4)))

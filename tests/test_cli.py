@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -148,6 +149,14 @@ def test_minimizers_check_fractional(capsys):
     assert len(d["fractional"]["params"]) == 100
 
 
+def test_minimizers_check_fractional_q2(capsys):
+    code, d = run(capsys, "minimizers", "2", "--check-fractional")
+    assert code == 0
+    assert d["witnesses"] == [[0, 1], [1, 0]]
+    assert d["fractional"] == {"all_recognized": True,
+                               "params": [[0, 1, 0], [0, 1, 1]]}
+
+
 def test_lexleast_matches_closed_form_at_7(capsys):
     code, d = run(capsys, "lexleast", "7")
     assert code == 0
@@ -167,6 +176,14 @@ def test_certify_good_and_bad(capsys, tmp_path):
     code, d = run(capsys, "certify", str(w), "--q", "5")
     assert code == 5
     assert d["error"]["type"] == "CertificateFailure"
+
+
+def test_certify_even_q_is_an_input_error(capsys, tmp_path):
+    w = tmp_path / "inv8.json"
+    w.write_text("[0, 1, 5, 6, 7, 2, 3, 4]")
+    code, d = run(capsys, "certify", str(w), "--q", "8")
+    assert code == 3
+    assert d["error"]["type"] == "EvenCharacteristic"
 
 
 def test_node_limit_exit(capsys):
@@ -274,6 +291,25 @@ def test_hostile_plane_files_fail_cleanly(capsys, tmp_path):
             assert (code, d["error"]["type"]) == (3, "ParseError"), (key, argv)
 
 
+def test_booleans_and_fractions_are_not_integers(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    obj["lines"] = [[True if p == 1 else p for p in ln] for ln in obj["lines"]]
+    bad.write_text(json.dumps(obj))
+    code, d = run(capsys, "plane", "validate", str(bad))
+    assert (code, d["error"]["type"]) == (3, "ParseError")
+    bad.write_text(json.dumps({"order": 2, "squares": [[[False, True], [True, False]]]}))
+    code, d = run(capsys, "mols", "to-plane", str(bad))
+    assert (code, d["error"]["type"]) == (3, "ParseError")
+    gp = transversal_from_bijection(affine_plane(field_make(3)), 0, 1, (0, 1, 2))
+    (tmp_path / "ag3.json").write_bytes(save_plane(gp.plane))
+    for h, v in ((0.7, True), (0, True), ("0", 1)):
+        bad.write_text(json.dumps({"plane": "ag3.json", "h_class": h, "v_class": v,
+                                   "cells": list(gp.cells)}))
+        code, d = run(capsys, "triples", str(bad))
+        assert (code, d["error"]["type"]) == (3, "ParseError"), (h, v)
+
+
 def test_plane_delete_line_index_out_of_range(capsys, tmp_path):
     pf = tmp_path / "pg3.json"
     pf.write_bytes(save_plane(projective_plane(field_make(3))))
@@ -320,8 +356,13 @@ def test_tsv_table(capsys, plane3):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process did, even when pytest
+    # put src/ on sys.path without exporting PYTHONPATH
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     out = subprocess.run([sys.executable, "-m", "collinea.cli", "psi", "field", "3"],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0
     assert json.loads(out.stdout)["psi"] == 1
 

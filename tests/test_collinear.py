@@ -186,14 +186,14 @@ def test_recognize_fractional_examples():
 
 
 def test_recognize_fully_collinear_graph():
-    # q = 3 identity: every probe system is singular, brute-force path
+    # q = 3 identity: all three graph points lie on one line
     f3 = field_make(3)
     got = recognize_fractional(PermGraph(f3, (0, 1, 2)))
     assert got is not None
     assert fractional_perm(f3, got).images == (0, 1, 2)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_recognize_round_trips_every_param(q):
     f = field_make(q)
     for a, b, g in itertools.product(range(q), repeat=3):
@@ -203,6 +203,20 @@ def test_recognize_round_trips_every_param(q):
         got = recognize_fractional(perm)
         assert got is not None
         assert fractional_perm(f, got).images == perm.images
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_recognize_returns_least_reproducing_triple(q):
+    """Against a sweep of the whole parameter cube: every permutation gets the
+    least (alpha, beta, gamma) whose map it is, or None if it has none."""
+    f = field_make(q)
+    least = {}
+    for a, b, g in itertools.product(range(q), repeat=3):
+        if f.mul(a, g) != b:
+            least.setdefault(fractional_perm(f, FracParams(a, b, g)).images,
+                             FracParams(a, b, g))
+    for images in itertools.permutations(range(q)):
+        assert recognize_fractional(PermGraph(f, images)) == least.get(images)
 
 
 def test_reciprocal_perm_values():

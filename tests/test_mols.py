@@ -174,3 +174,5 @@ def test_load_mols_rejects_bad_input():
         load_mols(b'{"order": 2, "squares": [[[0, 0], [1, 1]]]}')
     with pytest.raises(ParseError):
         load_mols(b'{"order": 2, "squares": [[[0, "x"], [1, 0]]]}')
+    with pytest.raises(ParseError):
+        load_mols(b'{"order": 2, "squares": [[[false, true], [true, false]]]}')

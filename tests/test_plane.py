@@ -229,6 +229,19 @@ def test_load_rejects_schema_problems():
     obj["labels"] = "at-infinity"
     with pytest.raises(ParseError, match="labels"):
         load_plane(json.dumps(obj))
+    # JSON true and false are not the integers 1 and 0
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    obj["lines"] = [[True if p == 1 else p for p in ln] for ln in obj["lines"]]
+    with pytest.raises(ParseError, match="line"):
+        load_plane(json.dumps(obj), strict=False)
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    obj["parallel_classes"][0][0] = bool(obj["parallel_classes"][0][0])
+    with pytest.raises(ParseError, match="parallel_classes"):
+        load_plane(json.dumps(obj), strict=False)
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    obj["points"] = 9.0
+    with pytest.raises(ParseError, match="points"):
+        load_plane(json.dumps(obj))
 
 
 def test_dual_plane_involution():

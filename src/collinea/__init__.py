@@ -17,7 +17,6 @@ from .collinear import (
     closed_form_minimizer,
     count_quadruples,
     count_triples,
-    count_triples_plane,
     fractional_perm,
     is_collinear,
     list_triples,

@@ -37,7 +37,6 @@ from .collinear import (
     closed_form_minimizer,
     count_quadruples,
     count_triples,
-    count_triples_plane,
     reciprocal_perm,
     recognize_fractional,
 )
@@ -135,8 +134,9 @@ def _load_perm_source(args, digests):
         return reciprocal_perm(f) if args.inv else closed_form_minimizer(f)
     obj = _json_of(_read_file(args.perm_file, digests), args.perm_file)
     if isinstance(obj, dict) and "cells" in obj:
-        plane = load_plane(_read_plane_ref(str(obj.get("plane", "")), digests,
-                                           base=os.path.dirname(args.perm_file)))
+        data = _read_plane_ref(str(obj.get("plane", "")), digests,
+                               base=os.path.dirname(args.perm_file))
+        plane = _affine_or_die(load_plane(data), args.cmd_name)
         try:
             h, v = obj["h_class"], obj["v_class"]
             cells = tuple(_int_array(obj["cells"], "cells"))
@@ -221,16 +221,15 @@ def cmd_psi_plane(args, digests):
 
 
 def cmd_count(args, digests):
-    """triples and quadruples: args.counters counts a permutation graph and a
+    """triples and quadruples: args.counter counts a permutation graph or a
     plane transversal, and the count goes under the command's name."""
     perm = _load_perm_source(args, digests)
-    count_graph, count_transversal = args.counters
+    res = {args.cmd_name: args.counter(perm)}
     if isinstance(perm, GenPerm):
-        res = {args.cmd_name: count_transversal(perm), "order": perm.plane.order,
-               "h_class": perm.h_class, "v_class": perm.v_class,
-               "cells": list(perm.cells)}
+        res.update({"order": perm.plane.order, "h_class": perm.h_class,
+                    "v_class": perm.v_class, "cells": list(perm.cells)})
     else:
-        res = {args.cmd_name: count_graph(perm), "perm": list(perm.images)}
+        res["perm"] = list(perm.images)
     return res, None, 0
 
 
@@ -450,8 +449,7 @@ def build_parser():
                     help="sweep every unordered class pair")
     sp.set_defaults(func=cmd_psi_plane, cmd_name="psi plane")
 
-    for name, counters in (("triples", (count_triples, count_triples_plane)),
-                           ("quadruples", (count_quadruples, count_quadruples))):
+    for name, counter in (("triples", count_triples), ("quadruples", count_quadruples)):
         sp = sub.add_parser(name, parents=[common],
                             help=f"count collinear {name} of one permutation")
         sp.add_argument("perm_file", nargs="?", default=None,
@@ -462,7 +460,7 @@ def build_parser():
                         help="use the reciprocal map x -> x^(q-2)")
         sp.add_argument("--q", type=int, default=None, help="field order")
         sp.add_argument("--zn", type=int, default=None, help="ring modulus")
-        sp.set_defaults(func=cmd_count, cmd_name=name, counters=counters)
+        sp.set_defaults(func=cmd_count, cmd_name=name, counter=counter)
 
     sp = sub.add_parser("minimizers", parents=[common, search],
                         help="every minimum-attaining permutation of GF(q)")

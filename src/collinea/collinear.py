@@ -3,7 +3,9 @@
 Works in three settings: GF(q) (slope-bucket counting), Z_n (exhaustive
 determinant tests; collinearity there is *defined* as vanishing of the same
 determinant mod n), and abstract affine planes (line intersection counts
-against a transversal).
+against a transversal).  count_triples and count_quadruples take a PermGraph
+or a GenPerm alike.  A transversal's cells come from plane.plane_grid, the
+one map from (h line i, v line j) to the point where they meet.
 
 Over GF(q) it also defines the patched fractional maps (alpha*x + beta) /
 (x + gamma) with sigma(-gamma) = alpha, the paper's minimizers.
@@ -17,13 +19,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .algebra import FieldSpec
-from .errors import (
-    ClassesNotDistinct,
-    DegenerateParams,
-    DuplicatePoint,
-    EvenCharacteristic,
-    PointNotInSet,
-)
+from .errors import DegenerateParams, DuplicatePoint, EvenCharacteristic, PointNotInSet
+from .plane import plane_grid
 
 
 def ctx_order(ctx):
@@ -51,7 +48,8 @@ class PermGraph:
 @dataclass(frozen=True)
 class GenPerm:
     """Transversal S of an affine plane, one point per line of the h class,
-    meeting every line of the v class exactly once."""
+    meeting every line of the v class exactly once: cells[i] is a point of
+    row i of plane_grid, in a column of its own."""
 
     plane: object
     h_class: int
@@ -60,24 +58,16 @@ class GenPerm:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        pl = self.plane
-        n_cls = len(pl.parallel_classes)
-        if not (0 <= self.h_class < n_cls and 0 <= self.v_class < n_cls):
-            raise ValueError("parallel class index out of range")
-        if self.h_class == self.v_class:
-            raise ClassesNotDistinct("h and v must be different parallel classes")
-        h_lines = pl.parallel_classes[self.h_class]
-        if len(self.cells) != len(h_lines):
+        grid = plane_grid(self.plane, self.h_class, self.v_class)
+        if len(self.cells) != len(grid):
             raise ValueError("need exactly one chosen point per h line")
-        for ln, p in zip(h_lines, self.cells):
-            if p not in pl.lines[ln]:
+        cols = []
+        for i, (row, p) in enumerate(zip(grid, self.cells)):
+            if p not in row:
+                ln = self.plane.parallel_classes[self.h_class][i]
                 raise PointNotInSet(f"point {p} is not on h line {ln}")
-        v_of = {}
-        for j in pl.parallel_classes[self.v_class]:
-            for p in pl.lines[j]:
-                v_of[p] = j
-        vs = [v_of[p] for p in self.cells]
-        if len(set(vs)) != len(vs):
+            cols.append(row.index(p))
+        if len(set(cols)) != len(cols):
             raise ValueError("chosen points do not meet distinct v lines")
 
 
@@ -107,14 +97,17 @@ def is_collinear(ctx, p1, p2, p3):
 
 
 def count_triples(perm):
-    """Number of collinear triples among the graph points of perm.
+    """Number of collinear triples of a PermGraph or a GenPerm.
 
     Field contexts bucket by (slope, intercept): three graph points are
     collinear iff they share a non-vertical line, and no line of slope s holds
     two points with equal x, so summing C(m, 3) over intercept buckets of each
     slope counts every triple exactly once.  Z_n falls back to testing all
     C(n, 3) determinants, each computed as (x2-x1)(y3-y1) - (x3-x1)(y2-y1)
-    in the integers and reduced mod n once."""
+    in the integers and reduced mod n once.  A transversal counts C(m, 3) on
+    each line outside its two grid classes that holds m of its cells."""
+    if isinstance(perm, GenPerm):
+        return _plane_line_count(perm, 3)
     ctx = perm.ctx
     if isinstance(ctx, FieldSpec):
         return _slope_count(perm, 3)
@@ -187,12 +180,6 @@ def _plane_line_count(gp, r):
     return total
 
 
-def count_triples_plane(gp):
-    """Collinear triples of the transversal: C(m, 3) summed over all lines
-    outside the two distinguished classes."""
-    return _plane_line_count(gp, 3)
-
-
 def fractional_perm(f, params):
     """sigma(x) = (alpha*x + beta)/(x + gamma) away from the pole, patched by
     sigma(-gamma) = alpha."""
@@ -252,15 +239,7 @@ def recognize_fractional(perm):
 
 
 def transversal_from_bijection(plane, h_class, v_class, pi):
-    """GenPerm whose i-th chosen point is the intersection of h line i with
-    v line pi[i]; every bijection pi gives a valid transversal."""
-    h_lines = plane.parallel_classes[h_class]
-    v_lines = plane.parallel_classes[v_class]
-    cells = []
-    for i, j in enumerate(pi):
-        inter = set(plane.lines[h_lines[i]]) & set(plane.lines[v_lines[j]])
-        if len(inter) != 1:
-            raise ClassesNotDistinct("classes do not cross properly")
-        cells.append(inter.pop())
-    return GenPerm(plane, h_class, v_class, tuple(cells))
-
+    """GenPerm whose i-th chosen point is the cell (i, pi[i]) of plane_grid,
+    where h line i meets v line pi[i]; every bijection pi gives one."""
+    grid = plane_grid(plane, h_class, v_class)
+    return GenPerm(plane, h_class, v_class, tuple([grid[i][j] for i, j in enumerate(pi)]))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import IncompleteSet, NotOrthogonal, OrderMismatch, ParseError
-from .plane import AffinePlane, is_json_int, plane_grid
+from .plane import AffinePlane, is_json_int, load_json_object, plane_grid
 
 
 @dataclass(frozen=True)
@@ -139,23 +139,8 @@ def save_mols(squares):
 def load_mols(data):
     """Parse a MOLS file; latin violations are fatal, orthogonality is not
     checked here (plane_from_mols does that)."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(str(e)) from e
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e}") from e
-    if not isinstance(obj, dict):
-        raise ParseError("top-level value must be an object")
-    for key in ("order", "squares"):
-        if key not in obj:
-            raise ParseError(f"missing field {key!r}")
+    obj = load_json_object(data, ("order", "squares"))
     order = obj["order"]
-    if not isinstance(order, int) or order < 2:
-        raise ParseError("order must be an integer >= 2")
     if not isinstance(obj["squares"], list):
         raise ParseError("squares must be an array")
     out = []

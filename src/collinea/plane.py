@@ -120,35 +120,17 @@ def delete_line(pp, line_index):
 
 
 def parallel_classes(lines, q):
-    """Partition line indices by the relation "equal or disjoint", verifying
-    first that the lines form an affine plane of order q."""
-    lines = [tuple(sorted(ln)) for ln in lines]
+    """Partition the line indices by the relation "equal or disjoint", each
+    group sorted and the groups by their least index: the parallel classes of
+    an affine plane of order q.  No axiom is checked here (validate does
+    that), so on other lines the groups may overlap; anything but q^2 + q
+    lines gives (), which keeps a hostile file cheap."""
+    lines = [frozenset(ln) for ln in lines]
     if len(lines) != q * q + q:
-        raise NotAPlane(f"expected {q*q+q} lines, got {len(lines)}")
-    seen = {}
-    for i, ln in enumerate(lines):
-        if len(ln) != q:
-            raise NotAPlane(f"line {i} has {len(ln)} points")
-        for a in range(q):
-            for b in range(a + 1, q):
-                pair = (ln[a], ln[b])
-                if pair in seen:
-                    raise NotAPlane(f"pair {pair} on lines {seen[pair]} and {i}")
-                seen[pair] = i
-    if len(seen) != q * q * (q * q - 1) // 2:
-        raise NotAPlane("some point pair lies on no line")
-    par = []
-    for i, ln in enumerate(lines):
-        s = set(ln)
-        par.append(frozenset(j for j, other in enumerate(lines) if i == j or not s & set(other)))
-    for i, cls in enumerate(par):
-        if len(cls) != q:
-            raise NotAPlane(f"line {i} is parallel to {len(cls)-1} others, expected {q-1}")
-        for j in cls:
-            if par[j] != cls:
-                raise NotAPlane(f"parallelism not transitive at lines {i}, {j}")
-    classes = sorted({cls for cls in par}, key=min)
-    return tuple(tuple(sorted(cls)) for cls in classes)
+        return ()
+    par = {frozenset(j for j, other in enumerate(lines) if ln == other or not ln & other)
+           for ln in lines}
+    return tuple(tuple(sorted(cls)) for cls in sorted(par, key=min))
 
 
 @dataclass(frozen=True)
@@ -247,7 +229,9 @@ def _incidence_faults(plane, projective):
 
 def plane_grid(ap, h_class, v_class):
     """Coordinatize the plane by two parallel classes: grid[i][j] is the point
-    where line i of the h class meets line j of the v class."""
+    where line i of the h class meets line j of the v class.  Transversals
+    and the MOLS, and through them the plane search, take their cells from
+    here."""
     n_cls = len(ap.parallel_classes)
     if not (0 <= h_class < n_cls and 0 <= v_class < n_cls):
         raise ValueError("parallel class index out of range")
@@ -296,10 +280,9 @@ def is_json_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def load_plane(data, strict=True):
-    """Parse and fully validate a plane file; validation failures are fatal.
-    strict=False skips the axiom check (parse errors stay fatal) so a caller
-    can collect the full violation report itself."""
+def load_json_object(data, keys):
+    """The top-level object of a JSON interchange file (str or UTF-8 bytes),
+    checked to have every field in keys and an integer order >= 2."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -311,15 +294,24 @@ def load_plane(data, strict=True):
         raise ParseError(f"not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
-    for key in ("type", "order", "points", "lines"):
+    for key in keys:
         if key not in obj:
             raise ParseError(f"missing field {key!r}")
+    if not isinstance(obj["order"], int) or obj["order"] < 2:
+        raise ParseError("order must be an integer >= 2")
+    return obj
+
+
+def load_plane(data, strict=True):
+    """Parse and fully validate a plane file; validation failures are fatal.
+    strict=False skips the axiom check (parse errors stay fatal) so a caller
+    can collect the full violation report itself.  Missing parallel classes
+    are computed by parallel_classes, so validate reports their faults too."""
+    obj = load_json_object(data, ("type", "order", "points", "lines"))
     kind = obj["type"]
     if kind not in ("affine", "projective"):
         raise ParseError(f"unknown plane type {kind!r}")
     order = obj["order"]
-    if not isinstance(order, int) or order < 2:
-        raise ParseError("order must be an integer >= 2")
     if not isinstance(obj["lines"], list):
         raise ParseError("lines must be an array")
     lines = []

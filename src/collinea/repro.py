@@ -24,7 +24,6 @@ from .collinear import (
     closed_form_minimizer,
     count_quadruples,
     count_triples,
-    count_triples_plane,
     fractional_family,
     fractional_perm,
     list_triples,
@@ -254,7 +253,7 @@ def _claim_10():
         for _ in range(1000):
             rng.shuffle(pi)
             gp = transversal_from_bijection(ap, h, v, tuple(pi))
-            if count_triples_plane(gp) < 1:
+            if count_triples(gp) < 1:
                 positive = False
     checks["sampled_transversal_positivity"] = positive
 

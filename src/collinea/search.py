@@ -5,9 +5,11 @@ in ascending order, candidate images in ascending order, with a counter per
 cell and a prune rule against an incumbent (see _Incumbent).  Each domain
 builds a pair table once per search, listing for two cells the later cells
 collinear with both: _line_pairs walks the lines of a field (y = s*x + b,
-s nonzero) or of a plane (every line outside the two grid classes), and
-_zn_pairs solves the determinant congruence, because collinearity mod n is not
-a line structure.  Placing a cell adds one to the counter of every later cell
+s nonzero) or of a plane, and _zn_pairs solves the determinant congruence,
+because collinearity mod n is not a line structure.  A plane's lines are read
+off its MOLS (mols_from_plane): every line outside the two grid classes is one
+symbol of one latin square, and its cells in row order give its row -> column
+permutation.  Placing a cell adds one to the counter of every later cell
 collinear with it and a placed cell, so a counter is the number of triples its
 cell would add.  Counters only grow, so the kernel also prunes a node once its
 count plus each unplaced row's least counter in a free column reaches the
@@ -57,7 +59,7 @@ a plane it is a table built once per search from the raw incidences, cell
 (i, j) -> the lines outside the two grid classes through the point where h
 line i meets v line j, and a witness's count is C(m, 3) summed over those
 lines, m being the chosen cells on each.  None of them reads plane_grid,
-_plane_lines or a pair table.
+the MOLS or a pair table.
 """
 
 import os
@@ -70,7 +72,7 @@ from math import comb, gcd, perm
 from .algebra import RingSpec
 from .collinear import PermGraph, closed_form_minimizer, count_triples, reciprocal_perm
 from .errors import ClassesNotDistinct, NodeLimitExceeded
-from .plane import plane_grid
+from .mols import mols_from_plane
 
 MODES = ("min_value", "enumerate_all_min", "lex_least", "first_below")
 
@@ -449,22 +451,6 @@ def _y_affine_group(ctx, scales):
     return [tuple([ctx.add(ctx.mul(c, y), d) for y in els]) for c in scales for d in els]
 
 
-def _plane_lines(ap, grid, skip):
-    """Every line outside the classes in skip as its row -> column
-    permutation of grid."""
-    q = ap.order
-    cell = {p: (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
-    perms = []
-    for li, ln in enumerate(ap.lines):
-        if li not in skip:
-            pi = [0] * q
-            for p in ln:
-                i, j = cell[p]
-                pi[i] = j
-            perms.append(tuple(pi))
-    return perms
-
-
 def _column_group(perms):
     """The column maps beta (column j -> beta[j]) for which
     (i, j) -> (i, beta[j]) maps every line of perms, given as row -> column
@@ -484,9 +470,10 @@ def _column_group(perms):
 
 def _plane_recount(ap, h_class, v_class, skip):
     """The triple count of a witness of the (h, v) grid from the raw
-    incidences: cell (i, j) is the point where h line i meets v line j, as in
-    transversal_from_bijection, and a witness counts C(m, 3) on each line
-    outside the classes in skip that holds m of its cells."""
+    incidences: cell (i, j) is the point where h line i meets v line j, found
+    by intersecting their point sets rather than read from plane_grid, and a
+    witness counts C(m, 3) on each line outside the classes in skip that holds
+    m of its cells."""
     q = ap.order
     through = [[] for _ in range(ap.n_points)]
     for li, ln in enumerate(ap.lines):
@@ -547,10 +534,12 @@ def min_triples_zn(n, cfg=None):
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):
     """Exact minimum over transversals of the (h, v) grid; witnesses are
-    column tuples (row i picks column witness[i])."""
+    column tuples (row i picks column witness[i]).  Symbol s of a latin
+    square of mols_from_plane is one line, read off as its row -> column
+    permutation."""
     q = ap.order
-    grid = plane_grid(ap, h_class, v_class)
+    lines = [tuple([row.index(s) for row in m.rows])
+             for m in mols_from_plane(ap, h_class, v_class) for s in range(q)]
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
-    lines = _plane_lines(ap, grid, skip)
     recount = _plane_recount(ap, h_class, v_class, skip)
     return _run_search(cfg, q, _column_group(lines), _line_pairs(q, lines), recount)

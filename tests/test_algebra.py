@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from collinea import algebra
 from collinea.algebra import (
+    _TABLE_LIMIT,
     FFMatrix,
     FieldSpec,
     RingSpec,
@@ -111,6 +113,40 @@ def test_table_ops_match_polynomial_arithmetic(q):
             assert f.mul(a, b) == f._polymul(a, b)
             if b:
                 assert f._polymul(f.div(a, b), b) == a
+
+
+@pytest.mark.parametrize("q", [25, 27])
+def test_fallback_ops_match_the_tables(q, monkeypatch):
+    """Above _TABLE_LIMIT every op runs on digit vectors and _polymul; forced
+    on a small field, each must agree with the tables at every pair."""
+    tabled = field_make(q)
+    assert tabled._load_ops() is not None
+    monkeypatch.setattr(algebra, "_tables", lambda spec: None)
+    f = FieldSpec(tabled.p, tabled.k, tabled.modulus)
+    assert f._load_ops() is None
+    for a in range(q):
+        assert f.neg(a) == tabled.neg(a)
+        if a:
+            assert f.inv(a) == tabled.inv(a)
+        for b in range(q):
+            for op in ("add", "sub", "mul") + (("div",) if b else ()):
+                assert getattr(f, op)(a, b) == getattr(tabled, op)(a, b), (op, a, b)
+
+
+@pytest.mark.parametrize("q", [2048, 2187])
+def test_untabled_fields_keep_the_axioms(q):
+    f = field_make(q)
+    assert q > _TABLE_LIMIT and f._load_ops() is None
+    rng = random.Random(q)
+    for _ in range(100):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a)
+        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
+        if a:
+            assert f.mul(a, f.inv(a)) == 1 and f.div(f.mul(a, b), a) == b
 
 
 def test_loaded_tables_leave_identity_alone():

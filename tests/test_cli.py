@@ -131,6 +131,16 @@ def test_triples_genperm_file(capsys, tmp_path):
     assert (code, d["quadruples"]) == (0, 0)
 
 
+def test_genperm_file_on_a_projective_plane_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "gp.json"
+    f.write_text(json.dumps({"plane": "hall_projective", "h_class": 0, "v_class": 1,
+                             "cells": list(range(9))}))
+    for cmd in ("triples", "quadruples"):
+        code, d = run(capsys, cmd, str(f))
+        assert (code, d["error"]["type"]) == (2, "UsageError"), cmd
+        assert f"{cmd} needs an affine plane" in d["error"]["message"]
+
+
 def test_bad_perm_files(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for text in ("not json", '[0, 1, "2"]', "[0, 0, 1]"):
@@ -266,6 +276,20 @@ def test_plane_validate_reports_all_failures(capsys, tmp_path):
 
     bad.write_text("{")
     assert run(capsys, "plane", "validate", str(bad))[0] == 3
+
+
+def test_plane_validate_without_classes_reports_all_failures(capsys, tmp_path):
+    # the loader computes the missing classes without judging them, so the
+    # report lists every fault instead of a NotAPlane error object
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    del obj["parallel_classes"]
+    obj["lines"][0] = [0, 1, 4]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, d = run(capsys, "plane", "validate", str(bad))
+    assert (code, d["ok"]) == (3, False)
+    for fault in ("pair (0, 3) lies on 0 lines: []", "8 parallel classes, expected 4"):
+        assert fault in d["failures"]
 
 
 def test_plane_delete_line_roundtrip(capsys, tmp_path):

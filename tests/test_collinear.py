@@ -14,7 +14,6 @@ from collinea.collinear import (
     closed_form_minimizer,
     count_quadruples,
     count_triples,
-    count_triples_plane,
     fractional_perm,
     is_collinear,
     list_triples,
@@ -237,11 +236,11 @@ def test_reciprocal_odd_q_is_a_minimizer():
 def test_plane_count_examples():
     f3 = field_make(3)
     gp = transversal_from_bijection(affine_plane(f3), 3, 0, (0, 1, 2))
-    assert count_triples_plane(gp) == 1
+    assert count_triples(gp) == 1
     f5 = field_make(5)
     gp5 = transversal_from_bijection(affine_plane(f5), 5, 0,
                                      closed_form_minimizer(f5).images)
-    assert count_triples_plane(gp5) == 2
+    assert count_triples(gp5) == 2
     assert count_quadruples(gp5) == 0
 
 
@@ -255,7 +254,7 @@ def test_plane_count_matches_field_count(q):
         rng.shuffle(base)
         perm = PermGraph(f, tuple(base))
         gp = transversal_from_bijection(pl, q, 0, perm.images)
-        assert count_triples_plane(gp) == count_triples(perm)
+        assert count_triples(gp) == count_triples(perm)
         assert count_quadruples(gp) == count_quadruples(perm)
 
 
@@ -278,4 +277,4 @@ def test_transversal_from_bijection_random():
     for _ in range(30):
         rng.shuffle(pi)
         gp = transversal_from_bijection(pl, 5, 0, tuple(pi))
-        assert count_triples_plane(gp) >= 1  # odd order forces a triple
+        assert count_triples(gp) >= 1  # odd order forces a triple

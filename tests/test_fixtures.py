@@ -6,11 +6,13 @@ nonidentity central collineations (center on the axis, one base point moved
 along a line through the center) extends to a collineation.
 """
 
+import importlib.util
+import os
 import random
 
 import pytest
 
-from collinea.collinear import count_triples_plane, transversal_from_bijection
+from collinea.collinear import count_triples, transversal_from_bijection
 from collinea.fixtures import (
     AFFINE_FIXTURES,
     DISTINGUISHED_CLASSES,
@@ -186,4 +188,18 @@ def test_sampled_transversals_always_have_a_triple(name):
     for _ in range(50):
         rng.shuffle(pi)
         gp = transversal_from_bijection(ap, h, v, tuple(pi))
-        assert count_triples_plane(gp) >= 1
+        assert count_triples(gp) >= 1
+
+
+def test_fixture_generator_derives_the_bundled_hall_plane():
+    # tools/make_fixtures.py builds every order-9 fixture; deleting the line at
+    # infinity of its completed derived Hall plane renumbers nothing, so that
+    # plane is the bundled hall_translation_deleted
+    path = os.path.join(os.path.dirname(__file__), "..", "tools", "make_fixtures.py")
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    derived = tool.derived_hall_affine()
+    bundled = load_fixture("hall_translation_deleted")
+    assert derived.lines == bundled.lines
+    assert derived.parallel_classes == bundled.parallel_classes

@@ -121,13 +121,17 @@ def test_parallel_classes_reproduce_slope_grouping(q):
 
 
 def test_parallel_classes_rejects_broken_input():
-    pl = affine_plane(field_make(3))
-    with pytest.raises(NotAPlane):
-        parallel_classes(pl.lines[:-1], 3)
-    doubled = list(pl.lines)
+    # parallel_classes only groups the lines; a file without classes is
+    # judged by validate when load_plane reads it
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    del obj["parallel_classes"]
+    missing = obj["lines"][:-1]
+    assert parallel_classes(missing, 3) == ()
+    doubled = list(obj["lines"])
     doubled[1] = doubled[0]
-    with pytest.raises(NotAPlane):
-        parallel_classes(doubled, 3)
+    for lines in (missing, doubled):
+        with pytest.raises(NotAPlane):
+            load_plane(json.dumps({**obj, "lines": lines}))
 
 
 def test_validate_flags_flipped_incidence():

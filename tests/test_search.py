@@ -20,7 +20,6 @@ from collinea.collinear import (
     PermGraph,
     closed_form_minimizer,
     count_triples,
-    count_triples_plane,
     fractional_perm,
     FracParams,
     is_collinear,
@@ -29,13 +28,13 @@ from collinea.collinear import (
 )
 from collinea.errors import ClassesNotDistinct, NodeLimitExceeded
 from collinea.fixtures import AFFINE_FIXTURES, load_fixture
+from collinea.mols import mols_from_plane
 from collinea.plane import affine_plane, plane_grid
 from collinea.search import (
     MODES,
     SearchConfig,
     _column_group,
     _line_pairs,
-    _plane_lines,
     _Tasks,
     _plane_recount,
     _pool_size,
@@ -208,7 +207,7 @@ def _brute(kind, n):
     if kind == "ag":
         q, h, v = n
         ap = _ag(q)
-        return [(p, count_triples_plane(transversal_from_bijection(ap, h, v, p)))
+        return [(p, count_triples(transversal_from_bijection(ap, h, v, p)))
                 for p in itertools.permutations(range(q))]
     ctx = field_make(n) if kind == "field" else RingSpec(n)
     return [(p, count_triples(PermGraph(ctx, p))) for p in itertools.permutations(range(n))]
@@ -247,9 +246,10 @@ def test_quotient_search_matches_brute_force(kind, n):
 
 
 def _lines_of(ap, h, v):
-    grid = plane_grid(ap, h, v)
-    skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
-    return _plane_lines(ap, grid, skip)
+    """The lines a plane search walks: symbol s of each latin square of
+    mols_from_plane as its row -> column permutation of the (h, v) grid."""
+    return [tuple(row.index(s) for row in m.rows)
+            for m in mols_from_plane(ap, h, v) for s in range(ap.order)]
 
 
 def _group_of(ap, h, v):
@@ -748,7 +748,7 @@ def test_plane_search_matches_field():
     out = min_triples_plane(pl, 5, 0)
     assert out.psi == 2
     gp = transversal_from_bijection(pl, 5, 0, out.witnesses[0])
-    assert count_triples_plane(gp) == 2
+    assert count_triples(gp) == 2
     assert min_triples_plane(affine_plane(field_make(3)), 3, 0).psi == 1
 
 
@@ -827,6 +827,6 @@ def test_plane_recount_matches_the_transversal_count():
             for _ in range(15):
                 w = tuple(rng.sample(range(9), 9))
                 gp = transversal_from_bijection(ap, h, v, w)
-                assert recount(w) == count_triples_plane(gp), (name, h, v, w)
+                assert recount(w) == count_triples(gp), (name, h, v, w)
     with pytest.raises(ValueError, match="bijection"):
         recount((0,) * 9)

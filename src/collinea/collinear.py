@@ -15,7 +15,7 @@ inverts it one pole at a time.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import comb
 
 from .algebra import FieldSpec
@@ -49,25 +49,28 @@ class PermGraph:
 class GenPerm:
     """Transversal S of an affine plane, one point per line of the h class,
     meeting every line of the v class exactly once: cells[i] is a point of
-    row i of plane_grid, in a column of its own."""
+    row i of plane_grid, in a column of its own.  grid, when given, is that
+    plane_grid, built by the caller; it is not stored."""
 
     plane: object
     h_class: int
     v_class: int
     cells: tuple
+    grid: InitVar[list] = None
 
-    def __post_init__(self):
+    def __post_init__(self, grid):
         object.__setattr__(self, "cells", tuple(self.cells))
-        grid = plane_grid(self.plane, self.h_class, self.v_class)
+        if grid is None:
+            grid = plane_grid(self.plane, self.h_class, self.v_class)
         if len(self.cells) != len(grid):
             raise ValueError("need exactly one chosen point per h line")
-        cols = []
+        cols = set()
         for i, (row, p) in enumerate(zip(grid, self.cells)):
             if p not in row:
                 ln = self.plane.parallel_classes[self.h_class][i]
                 raise PointNotInSet(f"point {p} is not on h line {ln}")
-            cols.append(row.index(p))
-        if len(set(cols)) != len(cols):
+            cols.add(row.index(p))
+        if len(cols) != len(grid):
             raise ValueError("chosen points do not meet distinct v lines")
 
 
@@ -242,4 +245,5 @@ def transversal_from_bijection(plane, h_class, v_class, pi):
     """GenPerm whose i-th chosen point is the cell (i, pi[i]) of plane_grid,
     where h line i meets v line pi[i]; every bijection pi gives one."""
     grid = plane_grid(plane, h_class, v_class)
-    return GenPerm(plane, h_class, v_class, tuple([grid[i][j] for i, j in enumerate(pi)]))
+    cells = [grid[i][j] for i, j in enumerate(pi)]
+    return GenPerm(plane, h_class, v_class, cells, grid)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import IncompleteSet, NotOrthogonal, OrderMismatch, ParseError
-from .plane import AffinePlane, is_json_int, load_json_object, plane_grid
+from .plane import AffinePlane, grid_lines, is_json_int, load_json_object
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,13 @@ def mols_from_plane(ap, h_class, v_class):
     Square M for class c has M[i][k] = position within c of the line through
     the grid cell (i, k).
     """
-    grid = plane_grid(ap, h_class, v_class)  # raises ClassesNotDistinct
     q = ap.order
     squares = []
-    for c, cls in enumerate(ap.parallel_classes):
-        if c in (h_class, v_class):
-            continue
-        sym = {}
-        for s, ln in enumerate(cls):
-            for p in ap.lines[ln]:
-                sym[p] = s
-        rows = tuple(tuple(sym[grid[i][k]] for k in range(q)) for i in range(q))
+    for perms in grid_lines(ap, h_class, v_class):  # raises ClassesNotDistinct
+        rows = [[None] * q for _ in range(q)]
+        for s, perm in enumerate(perms):
+            for i, j in enumerate(perm):
+                rows[i][j] = s
         squares.append(LatinSquare(q, rows))
     return squares
 

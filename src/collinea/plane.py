@@ -123,13 +123,25 @@ def parallel_classes(lines, q):
     """Partition the line indices by the relation "equal or disjoint", each
     group sorted and the groups by their least index: the parallel classes of
     an affine plane of order q.  No axiom is checked here (validate does
-    that), so on other lines the groups may overlap; anything but q^2 + q
-    lines gives (), which keeps a hostile file cheap."""
+    that), so on other lines the groups may overlap.  The grouping runs only
+    on q^2 + q lines of q distinct points in range(q^2), each point on q + 1
+    of them, and costs O(q^4) there like validate's sweep; any other input
+    gives () after one pass over the lines."""
     lines = [frozenset(ln) for ln in lines]
-    if len(lines) != q * q + q:
+    n = q * q
+    through = [[] for _ in range(n)]
+    if len(lines) != n + q or not all(
+            len(ln) == q and all(0 <= p < n for p in ln) for ln in lines):
         return ()
-    par = {frozenset(j for j, other in enumerate(lines) if ln == other or not ln & other)
-           for ln in lines}
+    for j, ln in enumerate(lines):
+        for p in ln:
+            through[p].append(j)
+    if any(len(t) != q + 1 for t in through):
+        return ()
+    par = set()
+    for ln in lines:
+        meets = {j for p in ln for j in through[p]}
+        par.add(frozenset(j for j in range(n + q) if j not in meets or lines[j] == ln))
     return tuple(tuple(sorted(cls)) for cls in sorted(par, key=min))
 
 
@@ -230,8 +242,7 @@ def _incidence_faults(plane, projective):
 def plane_grid(ap, h_class, v_class):
     """Coordinatize the plane by two parallel classes: grid[i][j] is the point
     where line i of the h class meets line j of the v class.  Transversals
-    and the MOLS, and through them the plane search, take their cells from
-    here."""
+    take their cells from here, and grid_lines its inverse."""
     n_cls = len(ap.parallel_classes)
     if not (0 <= h_class < n_cls and 0 <= v_class < n_cls):
         raise ValueError("parallel class index out of range")
@@ -247,6 +258,29 @@ def plane_grid(ap, h_class, v_class):
         for p in ap.lines[hline]:
             grid[i][col_of[p]] = p
     return grid
+
+
+def grid_lines(ap, h_class, v_class):
+    """Each parallel class other than h and v, in class order, as the list of
+    its lines, each a row -> column permutation of plane_grid: perm[i] is the
+    column where the line meets h line i.  Line s of such a class is symbol s
+    of its latin square (mols_from_plane), and the plane search runs on these
+    permutations."""
+    grid = plane_grid(ap, h_class, v_class)
+    cell = {p: (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
+    classes = []
+    for c, cls in enumerate(ap.parallel_classes):
+        if c in (h_class, v_class):
+            continue
+        perms = []
+        for ln in cls:
+            perm = [None] * ap.order
+            for p in ap.lines[ln]:
+                i, j = cell[p]
+                perm[i] = j
+            perms.append(tuple(perm))
+        classes.append(perms)
+    return classes
 
 
 def dual_plane(pp):

@@ -6,14 +6,13 @@ cell and a prune rule against an incumbent (see _Incumbent).  Each domain
 builds a pair table once per search, listing for two cells the later cells
 collinear with both: _line_pairs walks the lines of a field (y = s*x + b,
 s nonzero) or of a plane, and _zn_pairs solves the determinant congruence,
-because collinearity mod n is not a line structure.  A plane's lines are read
-off its MOLS (mols_from_plane): every line outside the two grid classes is one
-symbol of one latin square, and its cells in row order give its row -> column
-permutation.  Placing a cell adds one to the counter of every later cell
-collinear with it and a placed cell, so a counter is the number of triples its
-cell would add.  Counters only grow, so the kernel also prunes a node once its
-count plus each unplaced row's least counter in a free column reaches the
-bound.
+because collinearity mod n is not a line structure.  A plane's lines come
+from plane.grid_lines: every line outside the two grid classes (one symbol of
+one latin square of mols_from_plane) as the column of its cell in each row.
+Placing a cell adds one to the counter of every later cell collinear with it
+and a placed cell, so a counter is the number of triples its cell would add.
+Counters only grow, so the kernel also prunes a node once its count plus each
+unplaced row's least counter in a free column reaches the bound.
 
 Every domain is searched modulo a group G of column maps beta, which act on a
 permutation sigma by sigma -> beta o sigma and keep its triple count:
@@ -72,7 +71,7 @@ from math import comb, gcd, perm
 from .algebra import RingSpec
 from .collinear import PermGraph, closed_form_minimizer, count_triples, reciprocal_perm
 from .errors import ClassesNotDistinct, NodeLimitExceeded
-from .mols import mols_from_plane
+from .plane import grid_lines
 
 MODES = ("min_value", "enumerate_all_min", "lex_least", "first_below")
 
@@ -534,12 +533,10 @@ def min_triples_zn(n, cfg=None):
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):
     """Exact minimum over transversals of the (h, v) grid; witnesses are
-    column tuples (row i picks column witness[i]).  Symbol s of a latin
-    square of mols_from_plane is one line, read off as its row -> column
-    permutation."""
+    column tuples (row i picks column witness[i]).  The lines are those of
+    grid_lines, class after class."""
     q = ap.order
-    lines = [tuple([row.index(s) for row in m.rows])
-             for m in mols_from_plane(ap, h_class, v_class) for s in range(q)]
+    lines = [perm for perms in grid_lines(ap, h_class, v_class) for perm in perms]
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
     recount = _plane_recount(ap, h_class, v_class, skip)
     return _run_search(cfg, q, _column_group(lines), _line_pairs(q, lines), recount)

@@ -5,6 +5,7 @@ import itertools
 import json
 import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -144,6 +145,21 @@ def test_validate_flags_flipped_incidence():
     assert any("0 lines" in msg for msg in rep.failures)
 
 
+@contextmanager
+def _within(seconds):
+    """Fail the block with an AssertionError once it has run for seconds."""
+    def stuck(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("kind", ["projective", "affine"])
 def test_load_rejects_oversized_order_promptly(kind):
     # order 3000 means about 9e6 points and 4e13 point pairs; three lines
@@ -156,17 +172,21 @@ def test_load_rejects_oversized_order_promptly(kind):
     else:
         obj["parallel_classes"] = [[0], [1], [2]]
 
-    def stuck(signum, frame):
-        raise AssertionError("validate is sweeping an oversized plane")
+    with _within(10), pytest.raises(NotAPlane, match="line count 3,"):
+        load_plane(json.dumps(obj))
 
-    previous = signal.signal(signal.SIGALRM, stuck)
-    signal.alarm(10)
-    try:
-        with pytest.raises(NotAPlane, match="line count 3,"):
+
+@pytest.mark.parametrize("line", [[], [0]])
+def test_load_computes_classes_of_a_short_file_promptly(line):
+    # order 150 with the full 22650 lines, each too short: grouping them by
+    # "equal or disjoint" would cost about 5e8 set comparisons, so
+    # parallel_classes must give () and leave the faults to validate
+    q = 150
+    obj = {"type": "affine", "order": q, "points": q * q, "lines": [line] * (q * q + q)}
+    with _within(10):
+        with pytest.raises(NotAPlane, match=f"line 0 has {len(line)} distinct points"):
             load_plane(json.dumps(obj))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        assert load_plane(json.dumps(obj), strict=False).parallel_classes == ()
 
 
 def test_validate_reports_out_of_range_points():

@@ -28,8 +28,7 @@ from collinea.collinear import (
 )
 from collinea.errors import ClassesNotDistinct, NodeLimitExceeded
 from collinea.fixtures import AFFINE_FIXTURES, load_fixture
-from collinea.mols import mols_from_plane
-from collinea.plane import affine_plane, plane_grid
+from collinea.plane import affine_plane, grid_lines, plane_grid
 from collinea.search import (
     MODES,
     SearchConfig,
@@ -246,10 +245,9 @@ def test_quotient_search_matches_brute_force(kind, n):
 
 
 def _lines_of(ap, h, v):
-    """The lines a plane search walks: symbol s of each latin square of
-    mols_from_plane as its row -> column permutation of the (h, v) grid."""
-    return [tuple(row.index(s) for row in m.rows)
-            for m in mols_from_plane(ap, h, v) for s in range(ap.order)]
+    """The lines a plane search walks: each line of grid_lines, class after
+    class, as its row -> column permutation of the (h, v) grid."""
+    return [perm for perms in grid_lines(ap, h, v) for perm in perms]
 
 
 def _group_of(ap, h, v):

@@ -22,7 +22,8 @@ from collinea.search import SearchConfig, min_triples_field
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("q", type=int, nargs="?", default=9, help="odd prime power (default 9)")
+    ap.add_argument("q", type=int, nargs="?", default=9,
+                    help="odd prime power, at least 5 (default 9)")
     args = ap.parse_args()
     f = field_make(args.q)
 

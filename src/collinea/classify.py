@@ -7,11 +7,14 @@ counting, nucleus checks) so it serves as independent evidence rather than a
 restatement: no check reads the fractional parameters it is compared with.
 
 Each check works on the q+2 lifted points, not on a sweep of the q^2+q+1
-lines.  The drop-one conic search fits at most six 5-point conics and tests
-the remaining points against them; a point is an internal nucleus when its
-joins with the other points are q+1 distinct lines; the covered lines are the
-distinct secants plus, at each point, the q+1 lines through it less its
-distinct joins.  A certificate costs O(q^2) field operations."""
+lines.  The drop-one conic search runs one Gauss-Jordan pass over the 6x6
+Veronese matrix of the six leading points, which yields every conic through
+five of them, and tests the remaining points against each distinct conic
+once; a point is an internal nucleus when its joins with the other points are
+q+1 distinct lines; the covered lines are the distinct secants plus, at each
+point, the q+1 lines through it less its distinct joins.  certificate_bundle
+computes each join once and reads both the nucleus checks and the covered
+lines from that one sweep.  A certificate costs O(q^2) field operations."""
 
 import itertools
 from dataclasses import dataclass
@@ -22,9 +25,13 @@ from .errors import (
     Ambiguous,
     CertificateFailure,
     EvenCharacteristic,
+    FieldTooSmall,
     NoConic,
     PointNotInSet,
 )
+
+_INFINITE = ((1, 0, 0), (0, 1, 0))
+
 
 def normalize_point(f, v):
     """Scale a nonzero homogeneous triple so its last nonzero entry is 1."""
@@ -88,31 +95,48 @@ def is_internal_nucleus(omega, p):
     return len(others) == f.q + 1 and len({_join(f, p, r) for r in others}) == len(others)
 
 
+def _nucleus_joins(f, points):
+    """The joins through each infinite point only: 2(q+1) lines."""
+    return {inf: {_join(f, inf, r) for r in points if r != inf} for inf in _INFINITE}
+
+
+def _join_sweep(f, points):
+    """Every point's distinct joins with the others, each of the C(n, 2)
+    lines computed once."""
+    joins = {p: set() for p in points}
+    for p, r in itertools.combinations(points, 2):
+        line = _join(f, p, r)
+        joins[p].add(line)
+        joins[r].add(line)
+    return joins
+
+
+def _covered(joins, q):
+    return len(set().union(*joins.values())) + sum(q + 1 - len(js) for js in joins.values())
+
+
 def count_covered_lines(points, f):
     """How many of the q^2+q+1 projective lines meet the set at all: the
     distinct secants, plus at each point the lines through it that join it
     to no other point of the set (its tangents)."""
-    pts = sorted({normalize_point(f, p) for p in points})
-    secants = set()
-    joins_at = [set() for _ in pts]
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        line = _join(f, pts[i], pts[j])
-        secants.add(line)
-        joins_at[i].add(line)
-        joins_at[j].add(line)
-    return len(secants) + sum(f.q + 1 - len(js) for js in joins_at)
+    return _covered(_join_sweep(f, sorted({normalize_point(f, p) for p in points})), f.q)
+
+
+def _veronese(f, pt):
+    """The point's row of the Veronese matrix: x^2, y^2, xy, xz, yz, z^2."""
+    x, y, z = pt
+    return (f.mul(x, x), f.mul(y, y), f.mul(x, y), f.mul(x, z), f.mul(y, z), f.mul(z, z))
+
+
+def _dot(f, u, v):
+    acc = f.mul(u[0], v[0])
+    for a, b in zip(u[1:], v[1:]):
+        acc = f.add(acc, f.mul(a, b))
+    return acc
 
 
 def conic_value(f, coeffs, pt):
-    a, b, c, d, e, ff = coeffs
-    x, y, z = pt
-    acc = f.mul(a, f.mul(x, x))
-    acc = f.add(acc, f.mul(b, f.mul(y, y)))
-    acc = f.add(acc, f.mul(c, f.mul(x, y)))
-    acc = f.add(acc, f.mul(d, f.mul(x, z)))
-    acc = f.add(acc, f.mul(e, f.mul(y, z)))
-    acc = f.add(acc, f.mul(ff, f.mul(z, z)))
-    return acc
+    return _dot(f, coeffs, _veronese(f, pt))
 
 
 def fit_conic(points, f):
@@ -125,22 +149,18 @@ def fit_conic(points, f):
     pts = sorted(set(points))
     if len(pts) < 5:
         raise ValueError("need at least 5 distinct points")
-    entries = []
-    for x, y, z in pts:
-        entries += [
-            f.mul(x, x),
-            f.mul(y, y),
-            f.mul(x, y),
-            f.mul(x, z),
-            f.mul(y, z),
-            f.mul(z, z),
-        ]
-    basis = nullspace(FFMatrix(f, len(pts), 6, tuple(entries)))
+    entries = tuple(e for pt in pts for e in _veronese(f, pt))
+    basis = nullspace(FFMatrix(f, len(pts), 6, entries))
     if not basis:
         raise NoConic(f"no conic through the {len(pts)} points")
     if len(basis) > 1:
         raise Ambiguous(f"conic fit has a {len(basis)}-dimensional solution space")
-    raw = basis[0]
+    return _conic_cert(f, basis[0])
+
+
+def _conic_cert(f, raw):
+    """The conic of a nonzero coefficient vector, scaled so its first nonzero
+    entry is 1, with its degeneracy flags (None in characteristic 2)."""
     lead = next(v for v in raw if v)
     inv = f.inv(lead)
     coeffs = tuple(f.mul(inv, v) for v in raw)
@@ -170,47 +190,102 @@ def classify_conic(coeffs, f):
     return "nondegenerate_irreducible" if det != 0 else "degenerate"
 
 
+def _five_point_fits(f, rows):
+    """The conics through five of six points, from one Gauss-Jordan pass over
+    their 6x6 Veronese matrix M (`rows`) with I6 beside it.
+
+    Entry i is (coefficients up to scale, indices of the six off the conic)
+    for the unique conic through every point but i, or None when those five
+    leave a pencil or more (Ambiguous).  When M is invertible, column i of
+    its inverse vanishes on every point but i.  At rank 5 the kernel is the
+    one conic through all six, and the five without i pin it exactly when
+    row i has a nonzero coefficient in the one row dependency.  Below rank 5
+    every five are Ambiguous."""
+    aug = [list(row) + [int(i == j) for j in range(6)] for i, row in enumerate(rows)]
+    pivots = []
+    for c in range(6):
+        r = len(pivots)
+        pr = next((i for i in range(r, 6) if aug[i][c]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = f.inv(aug[r][c])
+        piv = aug[r] = [f.mul(inv, v) if v else 0 for v in aug[r]]
+        for i in range(6):
+            fac = aug[i][c]
+            if i != r and fac:
+                aug[i] = [f.sub(a, f.mul(fac, b)) if b else a for a, b in zip(aug[i], piv)]
+        pivots.append(c)
+    if len(pivots) == 6:
+        return [(tuple(row[6 + i] for row in aug), (i,)) for i in range(6)]
+    if len(pivots) < 5:
+        return [None] * 6
+    free = next(c for c in range(6) if c not in pivots)
+    kernel = [0] * 6
+    kernel[free] = 1
+    for row, c in zip(aug, pivots):
+        kernel[c] = f.neg(row[free])
+    kernel = tuple(kernel)
+    return [(kernel, ()) if lam else None for lam in aug[5][6:]]
+
+
+def _misses(f, coeffs, rows, off):
+    """Indices of the candidates off the conic, stopping at the second:
+    `off` are those among the first six, the rest are evaluated."""
+    out = list(off)
+    for j in range(6, len(rows)):
+        if len(out) == 2:
+            break
+        if _dot(f, coeffs, rows[j]):
+            out.append(j)
+    return tuple(out)
+
+
 def _drop_one_hits(candidates, f):
-    """(p, conic) for each point p of the sorted candidates whose rest admits
-    a unique conic, and that conic misses p.
+    """(p, conic) for each point p of the sorted candidates (at least six)
+    whose rest admits a unique conic, and that conic misses p.
 
     Every conic through the rest passes through its first five points, which
-    are among the first six candidates, so at most six 5-point fits decide
-    every rest: when the five pin a unique conic the rest has a conic exactly
-    when all of its points lie on that one, and a 1-dimensional kernel
-    normalizes to the same coefficients whichever points fit it.  Only five
-    points that leave a pencil or more (Ambiguous) send the whole rest to
-    fit_conic."""
-    five_fits = {}
+    are five of the first six candidates, so the six five-point fits of one
+    elimination decide every rest: when the five pin a unique conic the rest
+    has a conic exactly when all of its points lie on that one, and a
+    1-dimensional kernel normalizes to the same coefficients whichever points
+    fit it.  So a rest is a hit exactly when its five-point conic misses the
+    dropped point and nothing else; each distinct conic is evaluated once.
+    Only five points that leave a pencil or more (Ambiguous) send the whole
+    rest to fit_conic."""
+    rows = [_veronese(f, pt) for pt in candidates]
+    fits = _five_point_fits(f, rows[:6])
+    misses = {}
     hits = []
     for i, p in enumerate(candidates):
-        rest = candidates[:i] + candidates[i + 1 :]
-        key = min(i, 5)
-        if key not in five_fits:
+        fit = fits[min(i, 5)]
+        if fit is None:
             try:
-                five_fits[key] = fit_conic(rest[:5], f)
-            except Ambiguous:
-                five_fits[key] = None
-        cert = five_fits[key]
-        if cert is None:
-            try:
-                cert = fit_conic(rest, f)
+                cert = fit_conic(candidates[:i] + candidates[i + 1 :], f)
             except (NoConic, Ambiguous):
                 continue
-        elif any(conic_value(f, cert.coeffs, pt) for pt in rest[5:]):
+            if conic_value(f, cert.coeffs, p) != 0:
+                hits.append((p, cert))
             continue
-        if conic_value(f, cert.coeffs, p) != 0:
-            hits.append((p, cert))
+        coeffs, off = fit
+        if coeffs not in misses:
+            misses[coeffs] = _misses(f, coeffs, rows, off)
+        if misses[coeffs] == (i,):
+            hits.append((p, _conic_cert(f, coeffs)))
     return hits
 
 
-def _certify(perm):
-    """certify_minimizer's checks; returns the certificate with the lifted
-    set and the recognized fractional parameters it was checked against."""
+def _certify(perm, joins=_nucleus_joins):
+    """certify_minimizer's checks; returns the certificate with the joins of
+    the lifted set (`joins(f, points)`, which must cover both infinite points)
+    and the recognized fractional parameters it was checked against."""
     f = perm.ctx
     q = f.q
     if f.p == 2:
         raise EvenCharacteristic("certificates need odd q")
+    if q < 5:
+        raise FieldTooSmall(f"certificates need q >= 5, got {q}")
     if count_triples(perm) != (q - 1) // 2:
         raise CertificateFailure(
             "minimizer_precondition", f"permutation has more than {(q-1)//2} triples"
@@ -237,18 +312,22 @@ def _certify(perm):
         raise CertificateFailure(
             "external_point_matches_params", f"fit gave {ext}, parameters give {predicted}"
         )
-    for inf in ((1, 0, 0), (0, 1, 0)):
-        if not is_internal_nucleus(omega, inf):
+    # is_internal_nucleus: q+1 distinct joins with the q+1 other points
+    lines = joins(f, omega.points)
+    for inf in _INFINITE:
+        if len(lines[inf]) != q + 1:
             raise CertificateFailure("internal_nucleus", f"{inf} fails the nucleus test")
-    return ConicCert(cert.coeffs, ext, True, True), omega, params
+    return ConicCert(cert.coeffs, ext, True, True), lines, params
 
 
 def certify_minimizer(perm):
     """Full certificate for a (q-1)/2-triple permutation of GF(q), q odd
-    (EvenCharacteristic otherwise, where the conic test does not apply): a
-    nondegenerate conic through q+1 of the lifted points with the leftover
-    point external, conic coefficients with a = b = 0, external point affine
-    and matching the recognized fractional parameters.
+    (EvenCharacteristic otherwise, where the conic test does not apply) and
+    q >= 5 (FieldTooSmall at q = 3, where a drop-one rest has four points,
+    too few to fit a conic): a nondegenerate conic through q+1 of the lifted
+    points with the leftover point external, conic coefficients with
+    a = b = 0, external point affine and matching the recognized fractional
+    parameters.
 
     The external point is found by drop-one fitting, not assumed: for q >= 5
     two distinct conics share at most 4 points, so only the genuine external
@@ -258,12 +337,13 @@ def certify_minimizer(perm):
 
 
 def certificate_bundle(perm):
-    """Certificate plus its side computations, shaped for JSON output."""
-    cert, omega, params = _certify(perm)
+    """Certificate plus its side computations, shaped for JSON output.  One
+    join sweep serves the nucleus checks and the covered-line count."""
+    cert, joins, params = _certify(perm, _join_sweep)
     return {
         "coeffs": list(cert.coeffs),
         "external_point": list(cert.external_point),
-        "k_star": count_covered_lines(omega.points, perm.ctx),
+        "k_star": _covered(joins, perm.ctx.q),
         # certification fails unless both infinite points are internal nuclei
         "nucleus_checks": {"[1:0:0]": True, "[0:1:0]": True},
         "lemma_ab_zero": cert.coeffs[0] == 0 and cert.coeffs[1] == 0,

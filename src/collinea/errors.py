@@ -33,6 +33,10 @@ class EvenCharacteristic(CollineaError):
     pass
 
 
+class FieldTooSmall(CollineaError):
+    pass
+
+
 class DegenerateParams(CollineaError):
     pass
 

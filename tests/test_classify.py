@@ -7,11 +7,15 @@ from math import comb
 
 import pytest
 
-from collinea.algebra import field_make
+import collinea.classify as classify
+from collinea.algebra import FieldSpec, field_make
 from collinea.classify import (
     ConicCert,
     LiftedGraph,
+    _conic_cert,
     _drop_one_hits,
+    _five_point_fits,
+    _veronese,
     certificate_bundle,
     certify_minimizer,
     classify_conic,
@@ -33,6 +37,7 @@ from collinea.errors import (
     Ambiguous,
     CertificateFailure,
     EvenCharacteristic,
+    FieldTooSmall,
     NoConic,
     PointNotInSet,
 )
@@ -174,6 +179,16 @@ def test_certify_rejects_even_q(q):
     # precondition would give a false reason; the conic test needs odd q
     with pytest.raises(EvenCharacteristic):
         certify_minimizer(reciprocal_perm(field_make(q)))
+
+
+def test_certify_rejects_q_below_5():
+    # at q = 3 a drop-one rest has four points, too few to fit a conic
+    f3 = field_make(3)
+    for perm in (closed_form_minimizer(f3), PermGraph(f3, (0, 1, 2))):
+        with pytest.raises(FieldTooSmall):
+            certify_minimizer(perm)
+        with pytest.raises(FieldTooSmall):
+            certificate_bundle(perm)
 
 
 def test_certify_rejects_non_minimizer():
@@ -327,6 +342,46 @@ def test_drop_one_hits_match_full_fits(q):
     assert _drop_one_hits(pair, f) == [((2, 2, 1), ConicCert((0, 0, 1, 0, 0, 0), None, False, False))]
 
 
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11])
+def test_five_point_fits_match_fit_conic(q):
+    """Each branch of the elimination against fit_conic of every 5-subset:
+    M invertible, rank 5 on a nondegenerate conic and on a line pair whose
+    row dependency skips two rows, and rank 4."""
+    f = field_make(q)
+    parabola = [(t, f.mul(t, t), 1) for t in range(5)] + [(0, 1, 0)]  # yz = x^2
+    cases = {
+        # five points of the parabola and one point off it
+        "external": parabola[:4] + [(0, 1, 0), (0, 1, 1)],
+        "conic": parabola,
+        # four points on x = 0 and two on y = 0: only xy = 0 holds all six
+        "line_pair": [(0, y, 1) for y in range(1, 5)] + [(1, 0, 1), (2, 0, 1)],
+        "rank_4": [(0, y, 1) for y in range(5)] + [(1, 1, 1)],
+    }
+    ambiguous = {}
+    for name, six in cases.items():
+        fits = _five_point_fits(f, [_veronese(f, pt) for pt in six])
+        for i, fit in enumerate(fits):
+            try:
+                want = fit_conic(six[:i] + six[i + 1 :], f)
+            except Ambiguous:
+                want = None
+            assert (None if fit is None else _conic_cert(f, fit[0])) == want, (name, i)
+            if fit is not None:
+                coeffs, off = fit
+                assert off == tuple(j for j, pt in enumerate(six) if conic_value(f, coeffs, pt))
+                if q == 8:
+                    assert want.nondegenerate is None
+                elif name in ("conic", "line_pair"):
+                    assert want.nondegenerate is (name == "conic")
+        ambiguous[name] = [fit is None for fit in fits]
+        if name == "external":
+            assert [fit[1] for fit in fits] == [(i,) for i in range(6)]
+        if name == "conic":
+            assert len(set(fits)) == 1 and fits[0][1] == ()
+    assert ambiguous == {"external": [False] * 6, "conic": [False] * 6,
+                         "line_pair": [False] * 4 + [True] * 2, "rank_4": [True] * 6}
+
+
 def _bundle_digest(perms):
     h = hashlib.sha256()
     for perm in perms:
@@ -350,3 +405,110 @@ def test_certificate_bundles_are_pinned():
             sample.append(fractional_perm(f25, FracParams(a, b, g)))
     assert _bundle_digest(gf9) == "a684ab4638de0d9abacf8e0c1914994389234dd55b52d25f87dd27a212d15fbb"
     assert _bundle_digest(sample) == "9f652e2fdf7f951fea496da14a054272602ea511aaeb4b1fd6785cf969baa669"
+
+
+def _fractional_sample(q, n, seed):
+    f = field_make(q)
+    rng = random.Random(seed)
+    sample = []
+    while len(sample) < n:
+        a, b, g = (rng.randrange(q) for _ in range(3))
+        if f.mul(a, g) != b:
+            sample.append(fractional_perm(f, FracParams(a, b, g)))
+    return sample
+
+
+def test_prime_field_bundles_are_pinned():
+    """Byte-for-byte bundles over prime fields: every GF(7) minimizer, and
+    fixed GF(11) and GF(13) samples of fractional maps."""
+    f7 = field_make(7)
+    gf7 = [PermGraph(f7, w) for w in
+           min_triples_field(f7, SearchConfig(mode="enumerate_all_min")).witnesses]
+    assert len(gf7) == 294
+    sample = _fractional_sample(11, 24, 11) + _fractional_sample(13, 24, 13)
+    assert _bundle_digest(gf7) == "a2325110073e1cd2a27dc184b520561a5e20a8b9d8f1245fdb223ce13e26cfc0"
+    assert _bundle_digest(sample) == "75a128e3d46e5fb9101ff56d0c2eaac961b5c1105d96e7015169db6f7d239530"
+
+
+def _failure_perms(q):
+    """Seeded images: random maps, affine maps and fractional maps, the last
+    two also with two images swapped."""
+    f = field_make(q)
+    rng = random.Random(300 + q)
+    out = []
+    for _ in range(6):
+        images = list(range(q))
+        rng.shuffle(images)
+        out.append(images)
+    for _ in range(3):
+        m, b = rng.randrange(1, q), rng.randrange(q)
+        images = [f.add(f.mul(m, x), b) for x in range(q)]
+        out.append(images[:])
+        i, j = rng.sample(range(q), 2)
+        images[i], images[j] = images[j], images[i]
+        out.append(images)
+    for perm in _fractional_sample(q, 4, 400 + q):
+        images = list(perm.images)
+        out.append(images[:])
+        i, j = rng.sample(range(q), 2)
+        images[i], images[j] = images[j], images[i]
+        out.append(images)
+    return f, out
+
+
+FAILED_CHECKS = {
+    5: "ok ok ok ok ok ok conic_fit ok conic_fit ok conic_fit ok ok ok ok ok ok ok ok ok",
+    7: " ".join(["conic_fit"] * 12 + ["ok", "conic_fit"] * 4),
+    9: " ".join(["conic_fit"] * 12 + ["ok", "conic_fit"] * 4),
+    11: " ".join(["conic_fit"] * 12 + ["ok", "conic_fit"] * 4),
+    13: " ".join(["conic_fit"] * 12 + ["ok", "conic_fit"] * 4),
+}
+
+
+@pytest.mark.parametrize("q", sorted(FAILED_CHECKS))
+def test_failed_checks_past_the_precondition_are_pinned(q, monkeypatch):
+    """With the triple count forced to (q-1)/2, every permutation reaches the
+    conic checks; the first failed check of each is pinned."""
+    monkeypatch.setattr(classify, "count_triples", lambda perm: (perm.ctx.q - 1) // 2)
+    f, perms = _failure_perms(q)
+    names = []
+    for images in perms:
+        try:
+            certify_minimizer(PermGraph(f, tuple(images)))
+            names.append("ok")
+        except CertificateFailure as e:
+            names.append(e.check)
+    assert names == FAILED_CHECKS[q].split()
+
+
+_OPS = ("add", "sub", "neg", "mul", "inv", "div", "pow_")
+
+# FieldSpec ops per certify_minimizer call before the six-point elimination:
+# the closed form, the reciprocal map, then four seeded fractional maps
+OP_BOUNDS = {
+    7: [1863, 1831, 1863, 2011, 2152, 2023],
+    9: [2047, 1999, 2763, 2075, 2799, 2758],
+    13: [2583, 2547, 4414, 2731, 3972, 2715],
+}
+
+
+@pytest.mark.parametrize("q", sorted(OP_BOUNDS))
+def test_certify_minimizer_field_ops_are_bounded(q, monkeypatch):
+    f = field_make(q)
+    perms = [closed_form_minimizer(f), reciprocal_perm(f)] + _fractional_sample(q, 4, 500 + q)
+    count = [0]
+
+    def counted(op):
+        def wrapper(*args):
+            count[0] += 1
+            return op(*args)
+        return wrapper
+
+    for name in _OPS:
+        monkeypatch.setattr(FieldSpec, name, counted(getattr(FieldSpec, name)))
+    used = []
+    for perm in perms:
+        count[0] = 0
+        certify_minimizer(perm)
+        used.append(count[0])
+    assert all(u <= bound for u, bound in zip(used, OP_BOUNDS[q])), used

@@ -196,6 +196,14 @@ def test_certify_even_q_is_an_input_error(capsys, tmp_path):
     assert d["error"]["type"] == "EvenCharacteristic"
 
 
+def test_certify_q_below_5_is_an_input_error(capsys, tmp_path):
+    w = tmp_path / "w3.json"
+    w.write_text("[0, 2, 1]")
+    code, d = run(capsys, "certify", str(w), "--q", "3")
+    assert code == 3
+    assert d["error"]["type"] == "FieldTooSmall"
+
+
 def test_node_limit_exit(capsys):
     code, d = run(capsys, "psi", "field", "7", "--node-limit", "10")
     assert code == 4

@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^k) and Z_n, plus dense linear algebra over the field.
+"""Exact arithmetic in GF(p^k) and Z_n.
 
 Field elements are encoded as integers 0..q-1 read base-p: the digits are the
 coefficients of the residue polynomial, constant term in the least significant
@@ -258,60 +258,3 @@ def field_make(q):
             return FieldSpec(p, k, tuple(coeffs))
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
-
-@dataclass(frozen=True)
-class FFMatrix:
-    """Dense row-major matrix over a FieldSpec."""
-
-    spec: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match rows x cols")
-        q = self.spec.q
-        if any(not 0 <= e < q for e in self.entries):
-            raise ValueError("entry out of range for the ambient field")
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-
-def nullspace(m):
-    """Basis of the right nullspace of `m`, reduced echelon convention: one
-    vector per free column in ascending index order, the free variable set to 1
-    and pivot variables back-substituted."""
-    f = m.spec
-    rows = [list(m.entries[i * m.cols : (i + 1) * m.cols]) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [f.sub(a, f.mul(fac, b)) for a, b in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    basis = []
-    for c in range(ncols):
-        if c in pivot_of_col:
-            continue
-        v = [0] * ncols
-        v[c] = 1
-        for pc, pr in pivot_of_col.items():
-            v[pc] = f.neg(rows[pr][c])
-        basis.append(tuple(v))
-    return basis

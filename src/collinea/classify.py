@@ -7,19 +7,21 @@ counting, nucleus checks) so it serves as independent evidence rather than a
 restatement: no check reads the fractional parameters it is compared with.
 
 Each check works on the q+2 lifted points, not on a sweep of the q^2+q+1
-lines.  The drop-one conic search runs one Gauss-Jordan pass over the 6x6
-Veronese matrix of the six leading points, which yields every conic through
-five of them, and tests the remaining points against each distinct conic
-once; a point is an internal nucleus when its joins with the other points are
-q+1 distinct lines; the covered lines are the distinct secants plus, at each
-point, the q+1 lines through it less its distinct joins.  certificate_bundle
-computes each join once and reads both the nucleus checks and the covered
-lines from that one sweep.  A certificate costs O(q^2) field operations."""
+lines.  One Gauss-Jordan elimination over the six Veronese columns serves
+every conic fit: fit_conic runs it on its points' rows, and the drop-one
+conic search runs it once on the 6x6 Veronese matrix of the six leading
+points, which yields every conic through five of them, then tests the
+remaining points against each distinct conic once.  A point is an internal
+nucleus when its joins with the other points are q+1 distinct lines; the
+covered lines are the distinct secants plus, at each point, the q+1 lines
+through it less its distinct joins.  certificate_bundle computes each join
+once and reads both the nucleus checks and the covered lines from that one
+sweep.  A certificate costs O(q^2) field operations."""
 
 import itertools
 from dataclasses import dataclass
 
-from .algebra import FFMatrix, nullspace
+from .algebra import FieldSpec
 from .collinear import count_triples, recognize_fractional
 from .errors import (
     Ambiguous,
@@ -27,7 +29,6 @@ from .errors import (
     EvenCharacteristic,
     FieldTooSmall,
     NoConic,
-    PointNotInSet,
 )
 
 _INFINITE = ((1, 0, 0), (0, 1, 0))
@@ -54,18 +55,6 @@ def _join(f, p, r):
 
 
 @dataclass(frozen=True)
-class LiftedGraph:
-    """The q+2 projective points: graph of the source permutation at z = 1,
-    plus [1:0:0] and [0:1:0]."""
-
-    points: frozenset
-    source: object
-
-    def __len__(self):
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class ConicCert:
     """Conic coefficients (a, b, c, d, e, f) for ax^2+by^2+cxy+dxz+eyz+fz^2,
     scaled so the first nonzero entry is 1."""
@@ -77,26 +66,15 @@ class ConicCert:
 
 
 def lift_graph(perm):
-    f = perm.ctx
-    pts = {(x, perm.images[x], 1) for x in range(f.q)}
-    pts.add((1, 0, 0))
-    pts.add((0, 1, 0))
-    return LiftedGraph(frozenset(pts), perm)
-
-
-def is_internal_nucleus(omega, p):
-    """Every line through p meets the point set in exactly one other point?
-    That holds exactly when the joins of p with the other points are
-    pairwise distinct and cover all q+1 lines through p."""
-    if p not in omega.points:
-        raise PointNotInSet(f"{p} is not in the lifted set")
-    f = omega.source.ctx
-    others = [r for r in omega.points if r != p]
-    return len(others) == f.q + 1 and len({_join(f, p, r) for r in others}) == len(others)
+    """The q+2 projective points: the graph of perm at z = 1, plus [1:0:0]
+    and [0:1:0]."""
+    return frozenset([(x, y, 1) for x, y in enumerate(perm.images)] + list(_INFINITE))
 
 
 def _nucleus_joins(f, points):
-    """The joins through each infinite point only: 2(q+1) lines."""
+    """The joins through each infinite point only: 2(q+1) lines.  A point of
+    a (q+2)-point set is an internal nucleus (every line through it meets the
+    set in exactly one other point) exactly when it has q+1 distinct joins."""
     return {inf: {_join(f, inf, r) for r in points if r != inf} for inf in _INFINITE}
 
 
@@ -139,23 +117,57 @@ def conic_value(f, coeffs, pt):
     return _dot(f, coeffs, _veronese(f, pt))
 
 
-def fit_conic(points, f):
-    """The unique conic through the points, found as the nullspace of the
-    Veronese matrix with columns x^2, y^2, xy, xz, yz, z^2.
+def _eliminate(f, rows):
+    """Gauss-Jordan on the first six columns of the list `rows`, in place:
+    rows[k] ends as the row of the k-th returned pivot column, 1 there and
+    cleared from every other row, and the rows past the pivots are zero in
+    those six columns.  Further columns ride along."""
+    pivots = []
+    for c in range(6):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = f.inv(rows[r][c])
+        piv = rows[r] = [f.mul(inv, v) if v else 0 for v in rows[r]]
+        for i, row in enumerate(rows):
+            fac = row[c]
+            if i != r and fac:
+                rows[i] = [f.sub(a, f.mul(fac, b)) if b else a for a, b in zip(row, piv)]
+        pivots.append(c)
+    return pivots
 
-    Points are sorted before building the matrix so the certificate is
-    byte-stable.  NoConic when no conic passes through all points, Ambiguous
-    when more than a line of conics does."""
-    pts = sorted(set(points))
+
+def _kernel(f, rows, pivots):
+    """The kernel vector of eliminated rows of rank 5: the free column set
+    to 1 and each pivot column back-substituted."""
+    free = next(c for c in range(6) if c not in pivots)
+    kernel = [0] * 6
+    kernel[free] = 1
+    for row, c in zip(rows, pivots):
+        kernel[c] = f.neg(row[free])
+    return tuple(kernel)
+
+
+def fit_conic(points, f):
+    """The unique conic through the points, the kernel of their Veronese
+    matrix with columns x^2, y^2, xy, xz, yz, z^2.
+
+    Points are projective: each is normalized (ValueError on the zero
+    vector) and counted once.  They are sorted before building the matrix so
+    the certificate is byte-stable.  NoConic when no conic passes through all
+    points, Ambiguous when more than a line of conics does."""
+    pts = sorted({normalize_point(f, pt) for pt in points})
     if len(pts) < 5:
         raise ValueError("need at least 5 distinct points")
-    entries = tuple(e for pt in pts for e in _veronese(f, pt))
-    basis = nullspace(FFMatrix(f, len(pts), 6, entries))
-    if not basis:
+    rows = [_veronese(f, pt) for pt in pts]
+    pivots = _eliminate(f, rows)
+    if len(pivots) == 6:
         raise NoConic(f"no conic through the {len(pts)} points")
-    if len(basis) > 1:
-        raise Ambiguous(f"conic fit has a {len(basis)}-dimensional solution space")
-    return _conic_cert(f, basis[0])
+    if len(pivots) < 5:
+        raise Ambiguous(f"conic fit has a {6 - len(pivots)}-dimensional solution space")
+    return _conic_cert(f, _kernel(f, rows, pivots))
 
 
 def _conic_cert(f, raw):
@@ -202,30 +214,12 @@ def _five_point_fits(f, rows):
     row i has a nonzero coefficient in the one row dependency.  Below rank 5
     every five are Ambiguous."""
     aug = [list(row) + [int(i == j) for j in range(6)] for i, row in enumerate(rows)]
-    pivots = []
-    for c in range(6):
-        r = len(pivots)
-        pr = next((i for i in range(r, 6) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = f.inv(aug[r][c])
-        piv = aug[r] = [f.mul(inv, v) if v else 0 for v in aug[r]]
-        for i in range(6):
-            fac = aug[i][c]
-            if i != r and fac:
-                aug[i] = [f.sub(a, f.mul(fac, b)) if b else a for a, b in zip(aug[i], piv)]
-        pivots.append(c)
+    pivots = _eliminate(f, aug)
     if len(pivots) == 6:
         return [(tuple(row[6 + i] for row in aug), (i,)) for i in range(6)]
     if len(pivots) < 5:
         return [None] * 6
-    free = next(c for c in range(6) if c not in pivots)
-    kernel = [0] * 6
-    kernel[free] = 1
-    for row, c in zip(aug, pivots):
-        kernel[c] = f.neg(row[free])
-    kernel = tuple(kernel)
+    kernel = _kernel(f, aug, pivots)
     return [(kernel, ()) if lam else None for lam in aug[5][6:]]
 
 
@@ -281,6 +275,8 @@ def _certify(perm, joins=_nucleus_joins):
     the lifted set (`joins(f, points)`, which must cover both infinite points)
     and the recognized fractional parameters it was checked against."""
     f = perm.ctx
+    if not isinstance(f, FieldSpec):
+        raise ValueError(f"certificates need a finite field, got {f!r}")
     q = f.q
     if f.p == 2:
         raise EvenCharacteristic("certificates need odd q")
@@ -291,7 +287,7 @@ def _certify(perm, joins=_nucleus_joins):
             "minimizer_precondition", f"permutation has more than {(q-1)//2} triples"
         )
     omega = lift_graph(perm)
-    hits = _drop_one_hits(sorted(omega.points), f)
+    hits = _drop_one_hits(sorted(omega), f)
     if not hits:
         raise CertificateFailure("conic_fit", "no drop-one subset admits a unique conic")
     if len(hits) > 1:
@@ -312,8 +308,8 @@ def _certify(perm, joins=_nucleus_joins):
         raise CertificateFailure(
             "external_point_matches_params", f"fit gave {ext}, parameters give {predicted}"
         )
-    # is_internal_nucleus: q+1 distinct joins with the q+1 other points
-    lines = joins(f, omega.points)
+    # internal nucleus: q+1 distinct joins with the q+1 other points
+    lines = joins(f, omega)
     for inf in _INFINITE:
         if len(lines[inf]) != q + 1:
             raise CertificateFailure("internal_nucleus", f"{inf} fails the nucleus test")

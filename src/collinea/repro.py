@@ -137,7 +137,7 @@ def _claim_4():
     for q in (5, 7, 9):
         f = field_make(q)
         want = (q + 1) * (q + 2) // 2 + (q - 1) // 2
-        ks = {count_covered_lines(lift_graph(PermGraph(f, w)).points, f)
+        ks = {count_covered_lines(lift_graph(PermGraph(f, w)), f)
               for w in field_outcome(q, "enumerate_all_min").witnesses}
         good = ks == {want}
         ok = ok and good

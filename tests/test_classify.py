@@ -1,6 +1,7 @@
 """Projective lift, conic fitting, and the minimizer certificate chain."""
 
 import hashlib
+import itertools
 import json
 import random
 from math import comb
@@ -8,13 +9,14 @@ from math import comb
 import pytest
 
 import collinea.classify as classify
-from collinea.algebra import FieldSpec, field_make
+from collinea.algebra import FieldSpec, RingSpec, field_make
 from collinea.classify import (
     ConicCert,
-    LiftedGraph,
     _conic_cert,
     _drop_one_hits,
     _five_point_fits,
+    _join_sweep,
+    _nucleus_joins,
     _veronese,
     certificate_bundle,
     certify_minimizer,
@@ -22,7 +24,6 @@ from collinea.classify import (
     conic_value,
     count_covered_lines,
     fit_conic,
-    is_internal_nucleus,
     lift_graph,
     normalize_point,
 )
@@ -39,7 +40,6 @@ from collinea.errors import (
     EvenCharacteristic,
     FieldTooSmall,
     NoConic,
-    PointNotInSet,
 )
 from collinea.plane import projective_plane
 from collinea.search import SearchConfig, min_triples_field
@@ -58,12 +58,12 @@ def test_lift_sizes_and_round_trip():
     f5 = field_make(5)
     g5 = closed_form_minimizer(f5)
     om = lift_graph(g5)
-    assert len(om) == 7
+    assert isinstance(om, frozenset) and len(om) == 7
     f3 = field_make(3)
     om3 = lift_graph(PermGraph(f3, (0, 1, 2)))
     assert len(om3) == 5
-    assert (1, 0, 0) in om3.points and (0, 1, 0) in om3.points
-    affine = sorted((x, y) for x, y, z in om.points if z == 1)
+    assert (1, 0, 0) in om3 and (0, 1, 0) in om3
+    affine = sorted((x, y) for x, y, z in om if z == 1)
     assert affine == [(x, g5.images[x]) for x in range(5)]
 
 
@@ -75,30 +75,29 @@ def test_infinite_points_are_internal_nuclei():
         for _ in range(5):
             rng.shuffle(base)
             om = lift_graph(PermGraph(f, tuple(base)))
-            assert is_internal_nucleus(om, (1, 0, 0))
-            assert is_internal_nucleus(om, (0, 1, 0))
+            # q+1 distinct joins with the q+1 other points, as _certify reads them
+            assert [len(js) for js in _nucleus_joins(f, om).values()] == [q + 1, q + 1]
 
 
 def test_affine_point_on_long_line_is_not_a_nucleus():
     f5 = field_make(5)
     om = lift_graph(PermGraph(f5, (0, 1, 2, 3, 4)))
-    assert not is_internal_nucleus(om, (1, 1, 1))
-    with pytest.raises(PointNotInSet):
-        is_internal_nucleus(om, (2, 1, 1))
+    # y = x holds the four other affine points: three joins, not six
+    assert len(_join_sweep(f5, om)[(1, 1, 1)]) == 3
 
 
 def test_count_covered_lines_basics():
     f5 = field_make(5)
     assert count_covered_lines(set(), f5) == 0
     assert count_covered_lines({(0, 0, 1)}, f5) == 6
-    assert count_covered_lines(lift_graph(closed_form_minimizer(f5)).points, f5) == 23
+    assert count_covered_lines(lift_graph(closed_form_minimizer(f5)), f5) == 23
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
 def test_covered_lines_of_the_closed_form(q):
     f = field_make(q)
     om = lift_graph(closed_form_minimizer(f))
-    got = count_covered_lines(om.points, f)
+    got = count_covered_lines(om, f)
     assert got == (q + 1) * (q + 2) // 2 + (q - 1) // 2
     # tight inclusion-exclusion: pair lines minus double counts plus triples
     assert got == (q + 1) * (q + 2) - comb(q + 2, 2) + (q - 1) // 2
@@ -111,9 +110,9 @@ def test_covered_lines_against_plane_module():
     pp = projective_plane(f)
     om = lift_graph(closed_form_minimizer(f))
     index = {p: i for i, p in enumerate(_proj_points(q))}
-    pts = {index[p] for p in om.points}
+    pts = {index[p] for p in om}
     oracle = sum(1 for ln in pp.lines if pts & set(ln))
-    assert count_covered_lines(om.points, f) == oracle
+    assert count_covered_lines(om, f) == oracle
 
 
 def test_fit_conic_of_the_closed_form():
@@ -154,6 +153,76 @@ def test_fit_conic_failures():
         fit_conic([(0, 0, 1), (1, 1, 1), (2, 2, 1)], f5)
 
 
+def test_fit_conic_counts_projective_points():
+    f5 = field_make(5)
+    # (0, 0, 2) is (0, 0, 1) rescaled: four distinct points, not five
+    with pytest.raises(ValueError, match="at least 5 distinct points"):
+        fit_conic([(0, 0, 1), (0, 0, 2), (1, 0, 1), (2, 1, 1), (3, 4, 1)], f5)
+    with pytest.raises(ValueError, match="zero vector"):
+        fit_conic([(0, 0, 0), (0, 0, 1), (2, 2, 1), (3, 4, 1), (4, 3, 1), (1, 0, 0)], f5)
+    pts = [(0, 0, 1), (2, 2, 1), (3, 4, 1), (4, 3, 1), (1, 0, 0)]
+    scaled = [tuple(f5.mul(c, v) for v in pt) for pt, c in zip(pts, (2, 3, 4, 2, 3))]
+    assert fit_conic(scaled + pts[:2], f5) == fit_conic(pts, f5)
+
+
+def _monomials(f, pt):
+    x, y, z = pt
+    return [f.mul(x, x), f.mul(y, y), f.mul(x, y), f.mul(x, z), f.mul(y, z), f.mul(z, z)]
+
+
+def _vanishes(f, coeffs, monomials):
+    acc = 0
+    for c, m in zip(coeffs, monomials):
+        acc = f.add(acc, f.mul(c, m))
+    return acc == 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_fit_conic_matches_enumeration_oracle(q):
+    """Seeded 5-8 point sets, each with rescaled copies of one point, against
+    all q^6 coefficient vectors: NoConic exactly when only zero vanishes on
+    the set, Ambiguous exactly when at least q^2 vectors do, and otherwise
+    the one nonzero solution scaled to a leading 1."""
+    f = field_make(q)
+    rng = random.Random(1000 + q)
+    pts = _proj_points(q)
+    vectors = list(itertools.product(range(q), repeat=6))
+    sets = []
+    for n in (5, 6, 7, 8):
+        for _ in range(3):
+            sets.append(rng.sample(pts, n))
+            # n points of a random conic, when it has that many
+            conic = rng.choice(vectors[1:])
+            on = [p for p in pts if _vanishes(f, conic, _monomials(f, p))]
+            if len(on) >= n:
+                sets.append(rng.sample(on, n))
+            # four points of a random line: every conic through them holds it
+            line = rng.choice(pts)
+            on = [p for p in pts if _on_line(f, line, p)]
+            sets.append(rng.sample(on, 4) + rng.sample([p for p in pts if p not in on], n - 4))
+    outcomes = set()
+    for chosen in sets:
+        rows = [_monomials(f, p) for p in chosen]
+        kernel = [v for v in vectors if all(_vanishes(f, v, r) for r in rows)]
+        if len(kernel) == 1:
+            want = "NoConic"
+        elif len(kernel) >= q * q:
+            want = "Ambiguous"
+        else:
+            assert len(kernel) == q
+            want = next(v for v in kernel if any(v) and next(c for c in v if c) == 1)
+        copies = [tuple(f.mul(c, v) for v in rng.choice(chosen)) for c in range(1, q)]
+        try:
+            got = fit_conic(chosen + copies, f).coeffs
+        except NoConic:
+            got = "NoConic"
+        except Ambiguous:
+            got = "Ambiguous"
+        assert got == want, chosen
+        outcomes.add(want if isinstance(want, str) else "unique")
+    assert outcomes == {"NoConic", "Ambiguous", "unique"}
+
+
 def test_classify_conic_examples():
     f5 = field_make(5)
     assert classify_conic((0, 0, 1, 4, 4, 0), f5) == "nondegenerate_irreducible"
@@ -189,6 +258,13 @@ def test_certify_rejects_q_below_5():
             certify_minimizer(perm)
         with pytest.raises(FieldTooSmall):
             certificate_bundle(perm)
+
+
+def test_certify_rejects_a_ring():
+    perm = PermGraph(RingSpec(9), tuple(range(9)))
+    for certify in (certify_minimizer, certificate_bundle):
+        with pytest.raises(ValueError, match=r"RingSpec\(n=9\)"):
+            certify(perm)
 
 
 def test_certify_rejects_non_minimizer():
@@ -261,19 +337,20 @@ def test_count_covered_lines_against_line_sets(q):
         assert count_covered_lines(scaled, f) == oracle
 
 
-def _nucleus_by_line_sweep(omega, p):
+def _nucleus_by_line_sweep(f, omega, p):
     """Sweep all q^2+q+1 lines: does each one through p hold exactly one
     other point of the set?"""
-    f = omega.source.ctx
     for coeffs in _proj_points(f.q):
         if _on_line(f, coeffs, p):
-            if sum(1 for r in omega.points if _on_line(f, coeffs, r)) != 2:
+            if sum(1 for r in omega if _on_line(f, coeffs, r)) != 2:
                 return False
     return True
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_is_internal_nucleus_against_line_sweep(q):
+    """The nucleus condition _certify reads off the join sets (q+1 distinct
+    joins on a (q+2)-point set) against a sweep of every line."""
     f = field_make(q)
     rng = random.Random(100 + q)
     pts = _proj_points(q)
@@ -285,15 +362,18 @@ def test_is_internal_nucleus_against_line_sweep(q):
     identity = lift_graph(PermGraph(f, tuple(range(q))))
     omegas.append(identity)
     # image 0 taken twice: y = 0 holds two points of the set, y = q-1 none
-    omegas.append(LiftedGraph(identity.points - {(q - 1, q - 1, 1)} | {(q - 1, 0, 1)},
-                              identity.source))
+    omegas.append(identity - {(q - 1, q - 1, 1)} | {(q - 1, 0, 1)})
     for n in (3, q + 1, q + 2, q + 3):
-        omegas.append(LiftedGraph(frozenset(rng.sample(pts, n)), identity.source))
+        omegas.append(frozenset(rng.sample(pts, n)))
     seen = set()
     for om in omegas:
-        for p in sorted(om.points):
-            got = is_internal_nucleus(om, p)
-            assert got == _nucleus_by_line_sweep(om, p), (om.points, p)
+        joins = _join_sweep(f, om)
+        nucleus_joins = _nucleus_joins(f, om)
+        for p in sorted(om):
+            got = len(om) == q + 2 and len(joins[p]) == q + 1
+            assert got == _nucleus_by_line_sweep(f, om, p), (om, p)
+            if p in nucleus_joins:
+                assert nucleus_joins[p] == joins[p]
             seen.add(got)
     assert seen == {True, False}
 
@@ -317,11 +397,11 @@ def test_drop_one_hits_match_full_fits(q):
     f = field_make(q)
     rng = random.Random(200 + q)
     pts = _proj_points(q)
-    sets = [sorted(lift_graph(closed_form_minimizer(f)).points)]
+    sets = [sorted(lift_graph(closed_form_minimizer(f)))]
     for _ in range(8):
         images = list(range(q))
         rng.shuffle(images)
-        sets.append(sorted(lift_graph(PermGraph(f, tuple(images))).points))
+        sets.append(sorted(lift_graph(PermGraph(f, tuple(images)))))
     # the line x = 0 holds the first points in sorted order, so the five
     # leading points of most rests lie four on a line and fit a pencil
     x_axis = [(0, y, 1) for y in range(q)]

@@ -111,11 +111,9 @@ def _int_array(obj, what):
 
 
 def _perm_context(args):
-    if args.q is not None and getattr(args, "zn", None) is not None:
-        raise UsageError("--q and --zn are mutually exclusive")
     if args.q is not None:
         return field_make(args.q)
-    if getattr(args, "zn", None) is not None:
+    if args.zn is not None:
         return RingSpec(args.zn)
     raise UsageError("a permutation needs a context: give --q or --zn")
 
@@ -127,6 +125,8 @@ def _load_perm_source(args, digests):
                           "--inv" if args.inv else None) if s]
     if len(picked) != 1:
         raise UsageError("give exactly one of: a perm file, --g, --inv")
+    if args.q is not None and args.zn is not None:
+        raise UsageError("--q and --zn are mutually exclusive")
     if args.g or args.inv:
         if args.q is None:
             raise UsageError("--g/--inv need --q")

@@ -8,8 +8,9 @@ cross-checking property suite.  `run_claim(i)` returns a JSON-ready dict with
 "ok", "expected", "observed" and wall time; results are deterministic apart
 from the elapsed field.
 
-Search outcomes are cached per process so overlapping claims (the q = 13
-runs especially) pay for each search once.
+Claims 1-6 share one search per field order: the sorted enumeration of
+every minimizer, cached per process.  Claim 1 reads psi off it, claim 2 the
+lex-least minimizer (its first witness), and claims 3-6 the full list.
 """
 
 import random
@@ -36,28 +37,18 @@ from .fixtures import (
     AFFINE_FIXTURES,
     DISTINGUISHED_CLASSES,
     EXCEPTIONAL_FIXTURE,
+    fixture_bytes,
     fixture_names,
     load_fixture,
 )
 from .mols import check_orthogonal, mols_from_plane, plane_from_mols
-from .plane import affine_plane, validate
+from .plane import affine_plane, load_plane, validate
 from .search import SearchConfig, min_triples_field, min_triples_plane, min_triples_zn
 
 
 @cache
-def field_outcome(q, mode="min_value"):
-    return min_triples_field(field_make(q), SearchConfig(mode=mode))
-
-
-@cache
-def zn_outcome(n):
-    return min_triples_zn(n, SearchConfig())
-
-
-@cache
-def plane_outcome(name):
-    h, v = DISTINGUISHED_CLASSES
-    return min_triples_plane(load_fixture(name), h, v, SearchConfig())
+def field_outcome(q):
+    return min_triples_field(field_make(q), SearchConfig(mode="enumerate_all_min"))
 
 
 def _claim(claim_id, title, expected, observed, ok):
@@ -92,7 +83,7 @@ def _claim_2():
     ok = True
     for q in (5, 7, 9, 11, 13):
         f = field_make(q)
-        lex = field_outcome(q, "lex_least").witnesses[0]
+        lex = field_outcome(q).witnesses[0]
         family = [pg.images for pg in fractional_family(f)]
         g = closed_form_minimizer(f).images
         least = lex == min(family)
@@ -115,7 +106,7 @@ def _claim_3():
     ok = True
     for q in (5, 7):
         f = field_make(q)
-        wits = [PermGraph(f, w) for w in field_outcome(q, "enumerate_all_min").witnesses]
+        wits = [PermGraph(f, w) for w in field_outcome(q).witnesses]
         recog = all(recognize_fractional(w) is not None for w in wits)
         family = fractional_family(f)
         target = (q - 1) // 2
@@ -138,7 +129,7 @@ def _claim_4():
         f = field_make(q)
         want = (q + 1) * (q + 2) // 2 + (q - 1) // 2
         ks = {count_covered_lines(lift_graph(PermGraph(f, w)), f)
-              for w in field_outcome(q, "enumerate_all_min").witnesses}
+              for w in field_outcome(q).witnesses}
         good = ks == {want}
         ok = ok and good
         observed[q] = {"expected_k": want, "observed_k": sorted(ks), "ok": good}
@@ -151,7 +142,7 @@ def _claim_5():
     ok = True
     for q in (5, 7, 9, 11, 13):
         f = field_make(q)
-        wits = field_outcome(q, "enumerate_all_min").witnesses
+        wits = field_outcome(q).witnesses
         failures = 0
         for w in wits:
             try:
@@ -169,7 +160,7 @@ def _claim_6():
     observed = {}
     for q in (5, 7, 9):
         f = field_make(q)
-        wits = field_outcome(q, "enumerate_all_min").witnesses
+        wits = field_outcome(q).witnesses
         observed[q] = {"minimizers": len(wits),
                        "max_quadruples": max(count_quadruples(PermGraph(f, w))
                                              for w in wits)}
@@ -191,7 +182,8 @@ def _claim_7():
 def _claim_8():
     expected = {name: 5 if name == EXCEPTIONAL_FIXTURE else 4
                 for name in AFFINE_FIXTURES}
-    observed = {name: plane_outcome(name).psi for name in AFFINE_FIXTURES}
+    observed = {name: min_triples_plane(load_fixture(name), *DISTINGUISHED_CLASSES).psi
+                for name in AFFINE_FIXTURES}
     return _claim(8, "order-9 plane minima: 4 everywhere, 5 for the deleted "
                      "translation line", expected, observed, observed == expected)
 
@@ -204,7 +196,7 @@ ZN_EXPECTED = {4: 0, 6: 0, 8: 0, 9: 5, 10: 2, 12: 0}
 
 
 def _claim_9():
-    observed = {n: zn_outcome(n).psi for n in sorted(ZN_EXPECTED)}
+    observed = {n: min_triples_zn(n).psi for n in sorted(ZN_EXPECTED)}
     hand = count_triples(PermGraph(RingSpec(4), (0, 1, 3, 2)))
     observed["hand_checked_witness_0132_triples"] = hand
     ok = all(observed[n] == ZN_EXPECTED[n] for n in ZN_EXPECTED) and hand == 0
@@ -229,7 +221,8 @@ def _claim_10():
 
     axioms = all(validate(affine_plane(field_make(q))).ok
                  for q in (2, 3, 4, 5, 7, 8, 9))
-    axioms = axioms and all(validate(load_fixture(n)).ok for n in fixture_names())
+    axioms = axioms and all(validate(load_plane(fixture_bytes(n), strict=False)).ok
+                            for n in fixture_names())
     checks["plane_axioms"] = axioms
 
     mols_ok = True

@@ -18,10 +18,26 @@ closed form's (0,1,2,5,7,3,8,4,6); x/(x-1) comes first only under
 x^2 + 2x + 2.  At q = 9 the closed-form comparison is reported, not asserted.
 """
 
+import hashlib
 import json
 
 from collinea.fixtures import AFFINE_FIXTURES, EXCEPTIONAL_FIXTURE
 from collinea.repro import run_claim
+
+# SHA-256 of each claim's json.dumps output (insertion order) without its
+# "elapsed" field: everything else a claim reports is deterministic.
+CLAIM_DIGESTS = {
+    1: "5c45c1401ee992473ab56bb3d8b0aaa39b61b18d5fe1246dd905c92ef012bcf9",
+    2: "7599e5830dd2c8c532dadd81355104c5f0e27592b45493f6b19d78949f66c01f",
+    3: "74007285dcfed5ec17b3b5793b4ecc6ead2b598ac7bc7539f27276d1b2d31ccc",
+    4: "da785817dba5f65022e7a476821e0021b1d0353894d8a00f1dd8397963c0d3b8",
+    5: "875564fa1172e138370ce77984b63d581cffa5cb3bcb96b69a05c0f681ad1acd",
+    6: "9a963f76752bcf67264bb791a5201a8669244714ee845d2500192bac61280f2f",
+    7: "f6f179e2cae94b9d88c9485f8797261e0acd33e59c7edcedecdb7a49e5f9d09b",
+    8: "171ea4b1472064654fdd61ba06df75b4bdb2063fd7227d04ba1d74ac14c264d7",
+    9: "a336ff5870160a55055ff70b82d05ee56c735e683dd0b37d49ee06ee7505ff10",
+    10: "104443cfffc31aa0ed8a758b90e21a88fce69141579f2c49109b311acbb60b95",
+}
 
 
 def _run(i, budget=None):
@@ -30,6 +46,9 @@ def _run(i, budget=None):
     if budget is not None:
         assert out["elapsed"] < budget, f"claim {i} took {out['elapsed']}s"
     assert out["ok"], json.dumps(out, indent=1)
+    pinned = {k: v for k, v in out.items() if k != "elapsed"}
+    assert hashlib.sha256(json.dumps(pinned).encode()).hexdigest() == CLAIM_DIGESTS[i], (
+        json.dumps(pinned, indent=1))
     return out
 
 

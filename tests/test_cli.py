@@ -102,6 +102,9 @@ def test_triples_builtin_families(capsys):
     ("triples", "--g"),
     ("triples",),
     ("lexleast",),
+    ("triples", "--g", "--q", "9", "--zn", "9"),
+    ("triples", "--inv", "--q", "8", "--zn", "5"),
+    ("quadruples", "--g", "--q", "9", "--zn", "9"),
 ])
 def test_usage_errors(capsys, argv):
     code, d = run(capsys, *argv)

@@ -39,7 +39,6 @@ from .fixtures import (
     EXCEPTIONAL_FIXTURE,
     fixture_bytes,
     fixture_names,
-    load_fixture,
 )
 from .mols import check_orthogonal, mols_from_plane, plane_from_mols
 from .plane import affine_plane, load_plane, validate
@@ -179,11 +178,20 @@ def _claim_7():
                   {q: 0 for q in (4, 8, 16)}, observed, ok)
 
 
+def _load_fixtures(names):
+    """Each named fixture, loaded once without the strict check, and its
+    validation report, so that a broken fixture is reported, not raised."""
+    planes = {name: load_plane(fixture_bytes(name), strict=False) for name in names}
+    return planes, {name: validate(plane) for name, plane in planes.items()}
+
+
 def _claim_8():
     expected = {name: 5 if name == EXCEPTIONAL_FIXTURE else 4
                 for name in AFFINE_FIXTURES}
-    observed = {name: min_triples_plane(load_fixture(name), *DISTINGUISHED_CLASSES).psi
-                for name in AFFINE_FIXTURES}
+    planes, reports = _load_fixtures(AFFINE_FIXTURES)
+    observed = {name: min_triples_plane(ap, *DISTINGUISHED_CLASSES).psi
+                if reports[name].ok else reports[name].failures[0]
+                for name, ap in planes.items()}
     return _claim(8, "order-9 plane minima: 4 everywhere, 5 for the deleted "
                      "translation line", expected, observed, observed == expected)
 
@@ -221,8 +229,8 @@ def _claim_10():
 
     axioms = all(validate(affine_plane(field_make(q))).ok
                  for q in (2, 3, 4, 5, 7, 8, 9))
-    axioms = axioms and all(validate(load_plane(fixture_bytes(n), strict=False)).ok
-                            for n in fixture_names())
+    fixtures, reports = _load_fixtures(fixture_names())
+    axioms = axioms and all(report.ok for report in reports.values())
     checks["plane_axioms"] = axioms
 
     mols_ok = True
@@ -239,7 +247,7 @@ def _claim_10():
 
     positive = True
     planes = [affine_plane(field_make(q)) for q in (3, 5, 7)]
-    planes += [load_fixture(n) for n in AFFINE_FIXTURES]
+    planes += [fixtures[n] for n in AFFINE_FIXTURES if reports[n].ok]
     for ap in planes:
         h, v = (ap.order, 0) if ap.order != 9 else DISTINGUISHED_CLASSES
         pi = list(range(ap.order))

@@ -45,8 +45,9 @@ minimum, so both modes and parallel runs report the same canonical witness.
 enumerate_all_min keeps every leaf at the least value seen, under the limit
 best + 1, and first_below stops at the first leaf under its bound.  With
 parallel_depth > 0 each root is split that many levels further into prefix
-tasks, which run in deterministic waves on one process pool per search.
-Sequential and parallel runs share one merge of task results, so both count
+tasks, dealt round-robin into static shares, one job per process of one
+process pool per search (_search_shares).  Sequential and parallel runs share
+the share code and one merge of task results in task order, so both count
 nodes and enforce node_limit the same way.
 
 Before a search returns, _run_search recounts every witness it reports with a
@@ -65,7 +66,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import permutations
 from math import comb, gcd, perm
 
 from .algebra import RingSpec
@@ -74,9 +75,6 @@ from .errors import ClassesNotDistinct, NodeLimitExceeded
 from .plane import grid_lines
 
 MODES = ("min_value", "enumerate_all_min", "lex_least", "first_below")
-
-# tasks handed to the pool per wave, per requested worker
-_WAVE_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -274,12 +272,11 @@ def _pair_search(size, pairs, node_limit, prefix, limit, mode, spent):
     return inc.best, inc.witnesses, nodes, prunes
 
 
-# -- tasks and the process pool ----------------------------------------------
+# -- shares and the process pool ---------------------------------------------
 
 
-# a pool worker's kernel context (size, pair table and node limit), set once
-# per worker by _init_worker so that tasks carry only their prefix, bounds and
-# the nodes spent before them
+# a pool process's kernel context (size, pair table and node limit), set once
+# per process by _init_worker so that a job carries only its shares and bounds
 _worker = None
 
 
@@ -288,9 +285,8 @@ def _init_worker(ctx):
     _worker = ctx
 
 
-def _task(args):
-    prefix, bounds, spent = args
-    return _pair_search(*_worker, prefix, *bounds, spent)
+def _job(args):
+    return _run_shares(_worker, *args)
 
 
 def resolve_threads(threads=None):
@@ -326,70 +322,80 @@ def _prefixes(size, roots, depth):
             yield root + tail
 
 
-class _Tasks:
-    """Runs the kernel over the prefix tasks in waves, merging each wave's
-    results through one _Incumbent in task order and adding up their nodes
-    and prunes.  Every task of a wave starts from the incumbent at the wave's
-    start, so the outcome never depends on completion timing.  Sequentially a
-    wave is one task, run in this process; with parallel_depth > 0 a wave is
-    _WAVE_FACTOR tasks per requested worker (per core if none is requested),
-    so a requested count gives node counts that do not depend on the cores.
-    Waves run on one process pool per search, each worker getting the kernel
-    context once, when it starts.  The prefixes of the 2-prefix roots are
-    generated one wave at a time, so at most one wave is held.
-    The node limit is checked after every wave against the merged count, and
-    inside each task against the nodes spent before its wave.  Use as a
-    context manager: leaving it shuts the pool down."""
+def _run_shares(ctx, shares, count, roots, depth, limit, mode):
+    """Run the listed shares out of count: share w owns the prefix tasks
+    whose index is w mod count and runs them in lex order against its own
+    _Incumbent(limit, mode), up to its first hit in mode "first".  The
+    prefixes are walked once, lazily, each task going to its share.  Returns
+    the tasks that kept a witness as (index, best, witnesses), in index
+    order, and the nodes expanded and prunes made.  A share raises
+    NodeLimitExceeded once its own node count passes the limit."""
+    size, pairs, node_limit = ctx
+    open_shares = {w: _Incumbent(limit, mode) for w in shares}
+    spent = dict.fromkeys(shares, 0)
+    kept = []
+    prunes = 0
+    for i, prefix in enumerate(_prefixes(size, roots, depth)):
+        w = i % count
+        if w not in open_shares:
+            continue
+        inc = open_shares[w]
+        best, witnesses, nodes, pruned = _pair_search(size, pairs, node_limit, prefix,
+                                                      inc.limit, mode, spent[w])
+        spent[w] += nodes
+        prunes += pruned
+        if witnesses:
+            kept.append((i, best, witnesses))
+            if inc.offer(best, witnesses):
+                del open_shares[w]
+                if not open_shares:
+                    break
+    return kept, sum(spent.values()), prunes
 
-    def __init__(self, cfg, ctx, roots):
-        size = ctx[0]
-        depth = cfg.parallel_depth
-        self.ctx = ctx + (cfg.node_limit,)
-        self.node_limit = cfg.node_limit
-        self.nodes = self.prunes = 0
-        self.pool = None
-        chunk = 1
-        if depth > 0:
-            cpus = os.cpu_count() or 1
-            chunk = (cfg.threads or cpus) * _WAVE_FACTOR
-            tasks = len(roots) * perm(size - 2, min(depth, size - 2))
-            self.pool = ProcessPoolExecutor(max_workers=_pool_size(cfg.threads, tasks, cpus),
-                                            initializer=_init_worker, initargs=(self.ctx,))
-        prefixes = _prefixes(size, roots, depth)
-        self.waves = iter(lambda: list(islice(prefixes, chunk)), [])
 
-    def __enter__(self):
-        return self
+def _search_shares(cfg, size, pairs, roots, limit, mode):
+    """Run the kernel over the prefix tasks of roots in static shares and
+    merge the kept tasks in task order through one _Incumbent(limit, mode);
+    returns it with the summed nodes and prunes.
 
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown()
+    Sequentially (parallel_depth 0) one share runs the roots in this process.
+    Otherwise there are min(threads or cores, tasks) shares, so a requested
+    thread count fixes the node counts whatever the cores, and each of
+    _pool_size processes runs every process-count-th share as one job, on one
+    pool per search (in this process when that is one process).
 
-    def _run(self, wave, top):
-        """Run one wave from top and merge it into top; True once a "first"
-        search may stop."""
-        args = [(p, (top.limit, top.mode), self.nodes) for p in wave]
-        if self.pool is None:
-            results = [_pair_search(*self.ctx, p, *bounds, spent) for p, bounds, spent in args]
-        else:
-            results = self.pool.map(_task, args)
-        stop = False
-        for best, witnesses, nodes, prunes in results:
-            self.nodes += nodes
-            self.prunes += prunes
-            stop = stop or top.offer(best, witnesses)
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise NodeLimitExceeded(f"expanded more than {self.node_limit} nodes")
-        return stop
-
-    def search(self, limit, mode):
-        """The _Incumbent after every task, or after the first hit in mode
-        "first"."""
-        top = _Incumbent(limit, mode)
-        for wave in self.waves:
-            if self._run(wave, top):
-                break
-        return top
+    The merge equals the sequential outcome.  "best": a share's limit stays
+    above psi until its lex-first psi-leaf, so the task holding the global
+    lex-first minimizer keeps it and no earlier task keeps psi.  "all": every
+    share's limit stays at least psi + 1, so every minimizer is kept.
+    "first": a share stops only at its own first hit, so every task before
+    the earliest hit has run.  node_limit is checked against the summed
+    nodes, and each share stops once its own count passes it, so a failing
+    search expands at most shares x (node_limit + 1) nodes."""
+    depth = cfg.parallel_depth
+    ctx = (size, pairs, cfg.node_limit)
+    count = procs = 1
+    if depth > 0:
+        cpus = os.cpu_count() or 1
+        tasks = len(roots) * perm(size - 2, min(depth, size - 2))
+        count = min(cfg.threads or cpus, tasks)
+        procs = _pool_size(cfg.threads, tasks, cpus)
+    jobs = [(range(j, count, procs), count, roots, depth, limit, mode) for j in range(procs)]
+    if procs == 1:
+        results = [_run_shares(ctx, *jobs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker,
+                                 initargs=(ctx,)) as pool:
+            results = list(pool.map(_job, jobs))
+    kept, nodes, prunes = zip(*results)
+    if cfg.node_limit is not None and sum(nodes) > cfg.node_limit:
+        raise NodeLimitExceeded(f"expanded more than {cfg.node_limit} nodes")
+    top = _Incumbent(limit, mode)
+    # task indices are unique, so the tuples sort by index alone
+    for _, best, witnesses in sorted(task for tasks in kept for task in tasks):
+        if top.offer(best, witnesses):
+            break
+    return top, sum(nodes), sum(prunes)
 
 
 # -- orchestration -----------------------------------------------------------
@@ -425,8 +431,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
         seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
         limit = comb(size, 3) + 1 if seed is None else seed + 1
         mode = "all" if cfg.mode == "enumerate_all_min" else "best"
-    with _Tasks(cfg, (size, pairs), _roots(size, group)) as tasks:
-        top = tasks.search(limit, mode)
+    top, nodes, prunes = _search_shares(cfg, size, pairs, _roots(size, group), limit, mode)
     psi = top.best if top.witnesses else None
     if psi is None and mode != "first":
         # only possible when the seed undercut the true minimum, so no
@@ -441,7 +446,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
         if got != psi:
             raise AssertionError(f"witness {w} recounts to {got}, search said {psi}")
     elapsed = time.perf_counter() - t0
-    return SearchOutcome(psi, witnesses, tasks.nodes, tasks.prunes, elapsed, cfg)
+    return SearchOutcome(psi, witnesses, nodes, prunes, elapsed, cfg)
 
 
 def _y_affine_group(ctx, scales):

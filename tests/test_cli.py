@@ -414,7 +414,7 @@ _PINNED_CALLS = [
     ({}, ("psi", "field", "5", "--tsv"), 0,
      "7e8c15ca1ec17fa4810dbed8cce1e421ce31e5e37dedc8262fb559885fc130f0"),
     ({}, ("psi", "field", "7", "--parallel-depth", "2", "--threads", "2"), 0,
-     "219752e239109073eb4c521f36d34ef07d26b994f9e46e9d659fb8ea9ed91c60"),
+     "5813f814c71639bc7984e2a7818505961c0ae1bd96ace420f237216fca87b030"),
     ({"COLLINEA_THREADS": "2"}, ("psi", "field", "5"), 0,
      "f4cbbfffd514688c3582ec427a060b2933a78a6d9be51a342da5c65646bdcaaf"),
     ({}, ("psi", "zn", "6"), 0,

@@ -1,5 +1,5 @@
 """The claim registry's own contracts: claim 2's oracle, one field search per
-order, and claim 10 reporting a broken fixture instead of raising."""
+order, and claims 8 and 10 reporting a broken fixture instead of raising."""
 
 import json
 from collections import Counter
@@ -57,3 +57,22 @@ def test_claim_10_reports_a_broken_fixture(monkeypatch):
     out = repro.run_claim(10)
     assert out["ok"] is False
     assert out["observed"]["plane_axioms"] is False
+
+
+def test_claims_8_and_10_report_a_broken_affine_fixture(monkeypatch):
+    obj = json.loads(fixture_bytes("ag_2_9"))
+    obj["lines"].pop()
+    broken = json.dumps(obj).encode()
+
+    def bytes_with_a_line_missing(name):
+        return broken if name == "ag_2_9" else fixture_bytes(name)
+
+    monkeypatch.setattr(repro, "fixture_bytes", bytes_with_a_line_missing)
+    out = repro.run_claim(8)
+    assert out["ok"] is False
+    assert out["observed"]["ag_2_9"] == "line count 89, expected 90"
+    assert out["observed"]["hall_translation_deleted"] == 5
+    out = repro.run_claim(10)
+    assert out["ok"] is False
+    assert out["observed"]["plane_axioms"] is False
+    assert out["observed"]["sampled_transversal_positivity"] is True

@@ -34,11 +34,11 @@ from collinea.search import (
     SearchConfig,
     _column_group,
     _line_pairs,
-    _Tasks,
     _plane_recount,
     _pool_size,
     _prefixes,
     _roots,
+    _run_shares,
     _zn_pairs,
     min_triples_field,
     min_triples_plane,
@@ -542,18 +542,18 @@ def test_sequential_node_counts(kind, n, mode, nodes, prunes):
     assert (out.nodes_expanded, out.prunes) == (nodes, prunes)
 
 
-# nodes and prunes at threads 2, parallel_depth 2: waves of 2 * _WAVE_FACTOR
-# tasks, each starting from the incumbent at its wave's start
+# nodes and prunes at threads 2, parallel_depth 2: two shares, each running
+# its tasks (every other one) against its own incumbent
 PARALLEL_COUNTS = [
-    ("field", 9, "min_value", 1001, 780),
+    ("field", 9, "min_value", 883, 703),
     ("field", 9, "enumerate_all_min", 1406, 1053),
-    ("zn", 9, "min_value", 3705, 2545),
-    ("zn", 9, "enumerate_all_min", 6453, 3992),
-    ("zn", 10, "min_value", 7169, 5421),
-    ("plane", "ag_2_9", "min_value", 1944, 1233),
-    ("plane", "ag_2_9", "enumerate_all_min", 2856, 1628),
-    ("plane", "hall_translation_deleted", "min_value", 12266, 9027),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 20877, 13616),
+    ("zn", 9, "min_value", 3085, 2280),
+    ("zn", 9, "enumerate_all_min", 5747, 3800),
+    ("zn", 10, "min_value", 5533, 4450),
+    ("plane", "ag_2_9", "min_value", 1064, 787),
+    ("plane", "ag_2_9", "enumerate_all_min", 1665, 1141),
+    ("plane", "hall_translation_deleted", "min_value", 11885, 8882),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 20454, 13497),
 ]
 
 
@@ -566,7 +566,7 @@ def test_parallel_node_counts(kind, n, mode, nodes, prunes):
 
 @pytest.mark.parametrize("kind, n", [("zn", 11), ("plane", "ag_2_9")])
 def test_parallel_counts_do_not_depend_on_cores(kind, n, monkeypatch):
-    # the wave size follows the requested thread count; only the number of
+    # the share count follows the requested thread count; only the number of
     # processes is clamped by the cores found
     outs = []
     for cpus in (1, 2):
@@ -591,8 +591,8 @@ def test_searches_leave_no_reference_cycles(kind, n):
         gc.enable()
 
 
-# in the Z_n cases a parallel wave holds tasks whose own minimum lies above
-# the best an earlier task of the same wave found; the merge must drop them.
+# in the Z_n cases a share keeps tasks whose own minimum lies above the best
+# a task of another share found; the merge must drop them.
 # ag_2_9 has one root, hall_translation_deleted eight, so only the latter
 # merges plane results across roots
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("zn", 10), ("plane", "ag_2_9"),
@@ -607,45 +607,77 @@ def test_parallel_equals_sequential_every_mode(kind, n):
             assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses), (mode, threads, depth)
 
 
-class _InProcessPool:
-    """A stand-in for ProcessPoolExecutor that runs the worker initializer and
-    the tasks in this process and keeps every task's argument tuple."""
+def test_shares_merge_in_task_order():
+    # Z_12 has psi = 0, so first_below at bound 1 hits in many tasks.  At
+    # threads 2, depth 2 share 1 (odd tasks) first hits at task 15, the 8th
+    # of its walk, and share 0 at task 24, the 13th of its; merged in task
+    # order the outcome is share 1's witness, the sequential one
+    n = 12
+    units = [c for c in range(1, n) if gcd(c, n) == 1]
+    roots = _roots(n, search._y_affine_group(RingSpec(n), units))
+    ctx = (n, _zn_pairs(n), None)
+    hits = [_run_shares(ctx, [w], 2, roots, 2, 1, "first")[0] for w in (0, 1)]
+    assert [[i for i, _, _ in kept] for kept in hits] == [[24], [15]]
+    assert hits[0][0][2] != hits[1][0][2]
+    cfg = SearchConfig(mode="first_below", bound=1)
+    seq = min_triples_zn(n, cfg)
+    assert seq.witnesses == tuple(hits[1][0][2])
+    for depth in (1, 2):
+        par = min_triples_zn(n, replace(cfg, parallel_depth=depth, threads=2))
+        assert (par.psi, par.witnesses) == (0, seq.witnesses), depth
+
+
+class _StandInPool:
+    """A stand-in for ProcessPoolExecutor that starts no process: it runs the
+    initializer and the jobs in this process and keeps every job."""
 
     def __init__(self, max_workers, initializer, initargs):
         initializer(*initargs)
-        self.args = []
-        _InProcessPool.last = self
+        self.max_workers = max_workers
+        self.jobs = []
+        _StandInPool.started.append(self)
 
-    def map(self, fn, args):
-        self.args.extend(args)
-        return map(fn, args)
+    def __enter__(self):
+        return self
 
-    def shutdown(self):
+    def __exit__(self, *exc):
         pass
+
+    def map(self, fn, jobs):
+        self.jobs = list(jobs)
+        return map(fn, self.jobs)
+
+
+@pytest.fixture
+def stand_in_pool(monkeypatch):
+    _StandInPool.started = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _StandInPool)
+    monkeypatch.setattr(search, "_worker", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return _StandInPool.started
 
 
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
-def test_tasks_carry_no_kernel_context(kind, n, monkeypatch):
-    # the pair table goes to each worker once, through the pool's
-    # initializer, and a task holds only its prefix, bounds and the nodes
-    # spent before its wave
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(search, "_worker", None)
+def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
+    # the pair table goes to each process once, through the pool's
+    # initializer, and its one job holds its share indices, the share
+    # count, the 2-prefix roots, the depth and the bounds
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
-    assert _InProcessPool.last.args
-    for args in _InProcessPool.last.args:
-        prefix, bounds, spent = args
-        assert len(pickle.dumps(args)) < 200
+    [pool] = stand_in_pool
+    assert pool.max_workers == len(pool.jobs) == 2
+    for j, job in enumerate(pool.jobs):
+        shares, count, roots, depth, limit, mode = job
+        assert (list(shares), count, depth, mode) == ([j], 2, 2, "best")
+        assert all(len(root) == 2 for root in roots)
+        assert len(pickle.dumps(job)) < 100 + 20 * len(roots)
 
 
-def test_tasks_hold_one_wave_of_prefixes(monkeypatch):
-    # GF(11) at depth 8 has 9!/1! = 362,880 prefixes under its one root; the
-    # tasks must generate them a wave at a time.  Nothing is searched, and the
-    # stand-in pool starts no process.
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(search, "_worker", None)
+def test_jobs_generate_their_prefixes_lazily(stand_in_pool, monkeypatch):
+    # GF(11) at depth 8 has 9! = 362,880 prefixes under its one root; a job
+    # must walk them as it runs, so the first kernel call sees one prefix
+    # made.  The kernel is stubbed: nothing is searched.
     made = []
     real = search._prefixes
 
@@ -654,13 +686,37 @@ def test_tasks_hold_one_wave_of_prefixes(monkeypatch):
             made.append(prefix)
             yield prefix
 
+    class Halt(Exception):
+        pass
+
+    def first_kernel_call(size, pairs, node_limit, prefix, *rest):
+        assert made == [prefix] == [next(real(11, [(0, 1)], 8))]
+        raise Halt
+
     monkeypatch.setattr(search, "_prefixes", counted)
-    cfg = SearchConfig(parallel_depth=8, threads=2)
-    with _Tasks(cfg, (11, None), [(0, 1)]) as tasks:
-        assert made == []
-        wave = next(tasks.waves)
-    assert len(wave) == 2 * search._WAVE_FACTOR
-    assert made == wave == list(itertools.islice(real(11, [(0, 1)], 8), len(wave)))
+    monkeypatch.setattr(search, "_pair_search", first_kernel_call)
+    with pytest.raises(Halt):
+        min_triples_field(field_make(11), SearchConfig(parallel_depth=8, threads=2))
+    [pool] = stand_in_pool
+    assert len(pickle.dumps(pool.jobs[0])) < 200
+
+
+def test_huge_thread_counts_make_at_most_one_share_per_task(stand_in_pool, monkeypatch):
+    # GF(5) has one root, so depth 2 makes 3 * 2 = 6 tasks: threads=10**6
+    # makes 6 shares, on no more processes than shares or cores
+    f5 = field_make(5)
+    seq = min_triples_field(f5, SearchConfig())
+    outs = []
+    for cpus in (2, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = min_triples_field(f5, SearchConfig(parallel_depth=2, threads=10**6))
+        assert (out.psi, out.witnesses) == (seq.psi, seq.witnesses)
+        outs.append((out.nodes_expanded, out.prunes))
+        pool = stand_in_pool[-1]
+        assert pool.max_workers == len(pool.jobs) == min(6, cpus)
+        assert sorted(w for job in pool.jobs for w in job[0]) == list(range(6))
+        assert {job[1] for job in pool.jobs} == {6}
+    assert outs[0] == outs[1]
 
 
 def test_prefix_tasks_split_below_the_roots():
@@ -705,7 +761,7 @@ def test_config_resolves_threads_once(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["min_value", "enumerate_all_min"])
 def test_parallel_threads_from_the_environment(mode, monkeypatch):
-    # COLLINEA_THREADS=2 sizes the waves as threads=2 does
+    # COLLINEA_THREADS=2 makes two shares, as threads=2 does
     monkeypatch.setenv("COLLINEA_THREADS", "2")
     out = min_triples_field(field_make(9), SearchConfig(mode=mode, parallel_depth=2))
     assert out.config.threads == 2

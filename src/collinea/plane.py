@@ -129,10 +129,10 @@ def parallel_classes(lines, q):
     gives () after one pass over the lines."""
     lines = [frozenset(ln) for ln in lines]
     n = q * q
-    through = [[] for _ in range(n)]
     if len(lines) != n + q or not all(
             len(ln) == q and all(0 <= p < n for p in ln) for ln in lines):
         return ()
+    through = [[] for _ in range(n)]
     for j, ln in enumerate(lines):
         for p in ln:
             through[p].append(j)

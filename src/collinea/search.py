@@ -43,12 +43,16 @@ the limit s + 1 (or from C(size, 3) + 1) and lower it to each kept leaf's
 value, which makes the witness left at the end the lex-first one at the
 minimum, so both modes and parallel runs report the same canonical witness.
 enumerate_all_min keeps every leaf at the least value seen, under the limit
-best + 1, and first_below stops at the first leaf under its bound.  With
-parallel_depth > 0 each root is split that many levels further into prefix
-tasks, dealt round-robin into static shares, one job per process of one
-process pool per search (_search_shares).  Sequential and parallel runs share
-the share code and one merge of task results in task order, so both count
-nodes and enforce node_limit the same way.
+best + 1, and first_below stops at the first leaf under its bound.  The seed
+comes from the closed form (odd q and prime n) or the reciprocal map (even
+q); composite n and planes start from C(size, 3) + 1.  With parallel_depth >
+0 each root is split that many levels further into prefix tasks, dealt
+round-robin into static shares, one job per process of one process pool per
+search (_search_shares).  A share carries its own state, one _Incumbent with
+its witnesses and node and prune counts, which the kernel fills as it runs.
+Sequential and parallel runs share the share code and one merge of the
+shares in task order, so both count nodes and enforce node_limit the same
+way.
 
 Before a search returns, _run_search recounts every witness it reports with a
 counter that shares nothing with the kernel's pair table, and raises
@@ -69,7 +73,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import comb, gcd, perm
 
-from .algebra import RingSpec
+from .algebra import RingSpec, field_make
 from .collinear import PermGraph, closed_form_minimizer, count_triples, reciprocal_perm
 from .errors import ClassesNotDistinct, NodeLimitExceeded
 from .plane import grid_lines
@@ -116,12 +120,13 @@ class SearchOutcome:
 # -- the incumbent -----------------------------------------------------------
 # The kernel walks its tree in lex order and prunes a node once its partial
 # count reaches limit; partial counts only grow along a path, so every leaf
-# it reaches is offered here, and task results are merged the same way.
+# it reaches is offered here, and shares are merged the same way.
 
 
 class _Incumbent:
-    """The exclusive limit a search prunes against and the witnesses kept
-    under it; best is the value they attain, or the limit while none is kept.
+    """One share's state: the exclusive limit it prunes against, the
+    witnesses kept under it, and the nodes expanded and prunes made for it.
+    best is the value the witnesses attain, or the limit while none is kept.
 
     mode "best": the lex-first witness at the least value.  A seed s that a
     known witness attains enters as the limit s + 1; each kept witness lowers
@@ -136,6 +141,7 @@ class _Incumbent:
         self.limit = self.best = limit
         self.mode = mode
         self.witnesses = []
+        self.nodes = self.prunes = 0
 
     def offer(self, value, witnesses):
         """Merge a result; True once a "first" search may stop."""
@@ -206,17 +212,16 @@ def _pair_place(row, placed, cnt, step):
             cnt[c] += step
 
 
-def _pair_search(size, pairs, node_limit, prefix, limit, mode, spent):
-    """Lex-ordered DFS over the completions of prefix, pruning against an
-    _Incumbent(limit, mode); returns its best and witnesses after it (no
-    witnesses when no leaf got under the limit) and the nodes expanded and
-    prunes made.  spent is the search's node count before this call, so the
-    kernel raises NodeLimitExceeded once spent + its own nodes pass node_limit.
+def _pair_search(size, pairs, node_limit, prefix, inc):
+    """Lex-ordered DFS over the completions of prefix that offers each leaf
+    to the _Incumbent inc and prunes against its limit; adds the nodes
+    expanded and prunes made to inc's counts and returns True once a "first"
+    search may stop.  inc.nodes is the share's count before this call, so the
+    kernel raises NodeLimitExceeded once that count passes node_limit.
     Before expanding a node it prunes on cost + the sum over unplaced rows of
     the row's least counter in a free column: counters only grow, so no leaf
     below costs less."""
-    inc = _Incumbent(limit, mode)
-    budget = None if node_limit is None else node_limit - spent
+    budget = None if node_limit is None else node_limit - inc.nodes
     nodes = prunes = 0
     cells = size * size
     cnt = [0] * cells
@@ -229,8 +234,10 @@ def _pair_search(size, pairs, node_limit, prefix, limit, mode, spent):
         _pair_place(pairs[p], placed, cnt, 1)
         placed.append(p)
         used |= 1 << y
+    limit = inc.limit
     if cost >= limit:
-        return inc.best, inc.witnesses, 0, 1
+        inc.prunes += 1
+        return False
 
     def rec(d, used, cost):
         nonlocal limit, nodes, prunes
@@ -266,17 +273,20 @@ def _pair_search(size, pairs, node_limit, prefix, limit, mode, spent):
         return False
 
     try:
-        rec(len(prefix), used, cost)
+        stop = rec(len(prefix), used, cost)
     finally:
         del rec  # rec is in its own closure: unbind it so refcounting frees the search state
-    return inc.best, inc.witnesses, nodes, prunes
+    inc.nodes += nodes
+    inc.prunes += prunes
+    return stop
 
 
 # -- shares and the process pool ---------------------------------------------
 
 
-# a pool process's kernel context (size, pair table and node limit), set once
-# per process by _init_worker so that a job carries only its shares and bounds
+# a pool process's search context, (size, pairs, node_limit, count, roots,
+# depth, limit, mode) as _run_shares reads it, set once per process by
+# _init_worker so that a job is only its share indices
 _worker = None
 
 
@@ -285,8 +295,8 @@ def _init_worker(ctx):
     _worker = ctx
 
 
-def _job(args):
-    return _run_shares(_worker, *args)
+def _job(shares):
+    return _run_shares(_worker, shares)
 
 
 def resolve_threads(threads=None):
@@ -308,11 +318,6 @@ def resolve_threads(threads=None):
     return threads
 
 
-def _pool_size(threads, tasks, cpus):
-    """Workers to start: no more than requested, than tasks, or than cores."""
-    return max(1, min(threads or cpus, tasks, cpus))
-
-
 def _prefixes(size, roots, depth):
     """The tasks, generated lazily: each root extended by up to depth further
     distinct images, in lex order."""
@@ -322,80 +327,70 @@ def _prefixes(size, roots, depth):
             yield root + tail
 
 
-def _run_shares(ctx, shares, count, roots, depth, limit, mode):
-    """Run the listed shares out of count: share w owns the prefix tasks
-    whose index is w mod count and runs them in lex order against its own
+def _run_shares(ctx, shares):
+    """Run the listed shares out of ctx's count: share w owns the prefix tasks
+    whose index is w mod count and runs them in lex order on its own
     _Incumbent(limit, mode), up to its first hit in mode "first".  The
     prefixes are walked once, lazily, each task going to its share.  Returns
-    the tasks that kept a witness as (index, best, witnesses), in index
-    order, and the nodes expanded and prunes made.  A share raises
-    NodeLimitExceeded once its own node count passes the limit."""
-    size, pairs, node_limit = ctx
-    open_shares = {w: _Incumbent(limit, mode) for w in shares}
-    spent = dict.fromkeys(shares, 0)
-    kept = []
-    prunes = 0
+    the shares' incumbents.  A share raises NodeLimitExceeded once its own
+    node count passes the limit."""
+    size, pairs, node_limit, count, roots, depth, limit, mode = ctx
+    incs = [_Incumbent(limit, mode) for _ in shares]
+    open_shares = dict(zip(shares, incs))
     for i, prefix in enumerate(_prefixes(size, roots, depth)):
-        w = i % count
-        if w not in open_shares:
-            continue
-        inc = open_shares[w]
-        best, witnesses, nodes, pruned = _pair_search(size, pairs, node_limit, prefix,
-                                                      inc.limit, mode, spent[w])
-        spent[w] += nodes
-        prunes += pruned
-        if witnesses:
-            kept.append((i, best, witnesses))
-            if inc.offer(best, witnesses):
-                del open_shares[w]
-                if not open_shares:
-                    break
-    return kept, sum(spent.values()), prunes
+        inc = open_shares.get(i % count)
+        if inc is not None and _pair_search(size, pairs, node_limit, prefix, inc):
+            del open_shares[i % count]
+            if not open_shares:
+                break
+    return incs
 
 
 def _search_shares(cfg, size, pairs, roots, limit, mode):
     """Run the kernel over the prefix tasks of roots in static shares and
-    merge the kept tasks in task order through one _Incumbent(limit, mode);
-    returns it with the summed nodes and prunes.
+    offer the shares to one _Incumbent(limit, mode), which is returned with
+    the summed nodes and prunes.
 
     Sequentially (parallel_depth 0) one share runs the roots in this process.
     Otherwise there are min(threads or cores, tasks) shares, so a requested
     thread count fixes the node counts whatever the cores, and each of
-    _pool_size processes runs every process-count-th share as one job, on one
-    pool per search (in this process when that is one process).
+    min(shares, cores) processes runs every process-count-th share as one
+    job, on one pool per search (in this process when that is one process).
 
-    The merge equals the sequential outcome.  "best": a share's limit stays
-    above psi until its lex-first psi-leaf, so the task holding the global
-    lex-first minimizer keeps it and no earlier task keeps psi.  "all": every
-    share's limit stays at least psi + 1, so every minimizer is kept.
-    "first": a share stops only at its own first hit, so every task before
-    the earliest hit has run.  node_limit is checked against the summed
-    nodes, and each share stops once its own count passes it, so a failing
-    search expands at most shares x (node_limit + 1) nodes."""
+    Shares are offered in the order of their first witness, which is task
+    order: the tasks are disjoint prefix ranges in lex order.  The merge
+    equals the sequential outcome.  "best": a share's limit stays above psi
+    until its lex-first psi-leaf, so the share holding the global lex-first
+    minimizer keeps it, and it is offered before any other share at psi.
+    "all": every share's limit stays at least psi + 1, so every minimizer is
+    kept.  "first": a share stops only at its own first hit, so every task
+    before the earliest hit has run, and the lex-first hit is offered first;
+    sorting by (value, witness) would keep a lower later hit instead.
+    node_limit is checked against the summed nodes, and each share stops
+    once its own count passes it, so a failing search expands at most
+    shares x (node_limit + 1) nodes."""
     depth = cfg.parallel_depth
-    ctx = (size, pairs, cfg.node_limit)
     count = procs = 1
     if depth > 0:
         cpus = os.cpu_count() or 1
-        tasks = len(roots) * perm(size - 2, min(depth, size - 2))
-        count = min(cfg.threads or cpus, tasks)
-        procs = _pool_size(cfg.threads, tasks, cpus)
-    jobs = [(range(j, count, procs), count, roots, depth, limit, mode) for j in range(procs)]
+        count = min(cfg.threads or cpus, len(roots) * perm(size - 2, min(depth, size - 2)))
+        procs = min(count, cpus)
+    ctx = (size, pairs, cfg.node_limit, count, roots, depth, limit, mode)
     if procs == 1:
-        results = [_run_shares(ctx, *jobs[0])]
+        shares = _run_shares(ctx, range(count))
     else:
         with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
-            results = list(pool.map(_job, jobs))
-    kept, nodes, prunes = zip(*results)
-    if cfg.node_limit is not None and sum(nodes) > cfg.node_limit:
+            jobs = pool.map(_job, [range(j, count, procs) for j in range(procs)])
+            shares = [inc for incs in jobs for inc in incs]
+    nodes = sum(inc.nodes for inc in shares)
+    if cfg.node_limit is not None and nodes > cfg.node_limit:
         raise NodeLimitExceeded(f"expanded more than {cfg.node_limit} nodes")
     top = _Incumbent(limit, mode)
-    # task indices are unique, so the tuples sort by index alone
-    for _, best, witnesses in sorted(task for tasks in kept for task in tasks):
-        if top.offer(best, witnesses):
+    for inc in sorted(shares, key=lambda inc: inc.witnesses[:1]):
+        if top.offer(inc.best, inc.witnesses):
             break
-    return top, sum(nodes), sum(prunes)
+    return top, nodes, sum(inc.prunes for inc in shares)
 
 
 # -- orchestration -----------------------------------------------------------
@@ -524,7 +519,9 @@ def min_triples_field(f, cfg=None):
 
 
 def min_triples_zn(n, cfg=None):
-    """Exact minimum under determinant-mod-n collinearity."""
+    """Exact minimum under determinant-mod-n collinearity.  For prime n, Z_n
+    is GF(n) and the incumbent is seeded, as min_triples_field seeds it, from
+    the closed form's count over Z_n; composite n starts unseeded."""
     if n < 3:
         raise ValueError("need n >= 3")
     ring = RingSpec(n)
@@ -533,7 +530,8 @@ def min_triples_zn(n, cfg=None):
     def recount(w):
         return count_triples(PermGraph(ring, w))
 
-    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_pairs(n), recount)
+    seed = recount(closed_form_minimizer(field_make(n)).images) if len(units) == n - 1 else None
+    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_pairs(n), recount, seed)
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):

@@ -4,6 +4,7 @@ plus serialization round-trips."""
 import itertools
 import json
 import signal
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 
@@ -160,20 +161,28 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("kind", ["projective", "affine"])
+@pytest.mark.parametrize("kind", ["projective", "affine", "affine-classless"])
 def test_load_rejects_oversized_order_promptly(kind):
     # order 3000 means about 9e6 points and 4e13 point pairs; three lines
-    # already condemn the file, so validate must not sweep the pairs
+    # already condemn the file, so validate must not sweep the pairs, and
+    # parallel_classes must not build its per-point table for a classless
+    # file (9e6 lists, about 0.6 GB)
     q = 3000
-    obj = {"type": kind, "order": q, "points": q * q,
+    obj = {"type": kind.split("-")[0], "order": q, "points": q * q,
            "lines": [[0, 1, 2], [0, 3, 4], [1, 3, 5]]}
     if kind == "projective":
         obj["points"] += q + 1
-    else:
+    elif kind == "affine":
         obj["parallel_classes"] = [[0], [1], [2]]
 
-    with _within(10), pytest.raises(NotAPlane, match="line count 3,"):
-        load_plane(json.dumps(obj))
+    tracemalloc.start()
+    try:
+        with _within(10), pytest.raises(NotAPlane, match="line count 3,"):
+            load_plane(json.dumps(obj))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("line", [[], [0]])

@@ -35,7 +35,6 @@ from collinea.search import (
     _column_group,
     _line_pairs,
     _plane_recount,
-    _pool_size,
     _prefixes,
     _roots,
     _run_shares,
@@ -522,7 +521,7 @@ NODE_COUNTS = [
     ("zn", 9, "min_value", 3129, 2257),
     ("zn", 9, "enumerate_all_min", 5767, 3771),
     ("zn", 10, "min_value", 5519, 4328),
-    ("zn", 11, "min_value", 15026, 11845),
+    ("zn", 11, "min_value", 11551, 9353),
     ("plane", "ag_2_9", "min_value", 1056, 761),
     ("plane", "ag_2_9", "enumerate_all_min", 1641, 1115),
     ("plane", "hall_translation_deleted", "min_value", 12180, 8830),
@@ -615,16 +614,26 @@ def test_shares_merge_in_task_order():
     n = 12
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     roots = _roots(n, search._y_affine_group(RingSpec(n), units))
-    ctx = (n, _zn_pairs(n), None)
-    hits = [_run_shares(ctx, [w], 2, roots, 2, 1, "first")[0] for w in (0, 1)]
-    assert [[i for i, _, _ in kept] for kept in hits] == [[24], [15]]
-    assert hits[0][0][2] != hits[1][0][2]
+    ctx = (n, _zn_pairs(n), None, 2, roots, 2, 1, "first")
+    hits = [_run_shares(ctx, [w]) for w in (0, 1)]
+    # a witness's task is the one its 4-cell prefix (root and depth 2) heads
+    tasks = list(_prefixes(n, roots, 2))
+    assert [[tasks.index(w[:4]) for w in inc.witnesses] for [inc] in hits] == [[24], [15]]
+    [[w0], [w1]] = [inc.witnesses for [inc] in hits]
+    assert w0 != w1
     cfg = SearchConfig(mode="first_below", bound=1)
     seq = min_triples_zn(n, cfg)
-    assert seq.witnesses == tuple(hits[1][0][2])
+    assert seq.witnesses == (w1,)
     for depth in (1, 2):
         par = min_triples_zn(n, replace(cfg, parallel_depth=depth, threads=2))
         assert (par.psi, par.witnesses) == (0, seq.witnesses), depth
+    # the merge orders shares by witness alone, not by value first: over Z_8
+    # at bound 3, threads 2, depth 1 share 0 first hits at 2 triples and
+    # share 1 at 0, and the outcome is share 0's hit, the sequential one
+    cfg = SearchConfig(mode="first_below", bound=3)
+    seq = min_triples_zn(8, cfg)
+    par = min_triples_zn(8, replace(cfg, parallel_depth=1, threads=2))
+    assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses) == (2, ((0, 1, 2, 6, 7, 4, 5, 3),))
 
 
 class _StandInPool:
@@ -634,6 +643,7 @@ class _StandInPool:
     def __init__(self, max_workers, initializer, initargs):
         initializer(*initargs)
         self.max_workers = max_workers
+        self.initargs = initargs
         self.jobs = []
         _StandInPool.started.append(self)
 
@@ -660,18 +670,19 @@ def stand_in_pool(monkeypatch):
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
 def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
     # the pair table goes to each process once, through the pool's
-    # initializer, and its one job holds its share indices, the share
-    # count, the 2-prefix roots, the depth and the bounds
+    # initializer, with the share count, the 2-prefix roots, the depth and
+    # the bounds; a job holds only its share indices
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
     [pool] = stand_in_pool
     assert pool.max_workers == len(pool.jobs) == 2
+    [(size, pairs, node_limit, count, roots, depth, limit, mode)] = pool.initargs
+    assert (count, depth, mode) == (2, 2, "best")
+    assert all(len(root) == 2 for root in roots)
     for j, job in enumerate(pool.jobs):
-        shares, count, roots, depth, limit, mode = job
-        assert (list(shares), count, depth, mode) == ([j], 2, 2, "best")
-        assert all(len(root) == 2 for root in roots)
-        assert len(pickle.dumps(job)) < 100 + 20 * len(roots)
+        assert job == range(j, 2, 2)
+        assert len(pickle.dumps(job)) < 100
 
 
 def test_jobs_generate_their_prefixes_lazily(stand_in_pool, monkeypatch):
@@ -702,21 +713,31 @@ def test_jobs_generate_their_prefixes_lazily(stand_in_pool, monkeypatch):
 
 
 def test_huge_thread_counts_make_at_most_one_share_per_task(stand_in_pool, monkeypatch):
-    # GF(5) has one root, so depth 2 makes 3 * 2 = 6 tasks: threads=10**6
-    # makes 6 shares, on no more processes than shares or cores
+    # GF(5) has one root, so depth 2 makes 3 * 2 = 6 tasks: there are
+    # min(threads or cores, 6) shares, on min(shares, cores) processes, and
+    # no pool when that is one process; threads=10**6 makes 6 shares.  Huge
+    # requests are checked on the stand-in pool alone: no process is started
     f5 = field_make(5)
     seq = min_triples_field(f5, SearchConfig())
-    outs = []
-    for cpus in (2, 64):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        out = min_triples_field(f5, SearchConfig(parallel_depth=2, threads=10**6))
-        assert (out.psi, out.witnesses) == (seq.psi, seq.witnesses)
-        outs.append((out.nodes_expanded, out.prunes))
-        pool = stand_in_pool[-1]
-        assert pool.max_workers == len(pool.jobs) == min(6, cpus)
-        assert sorted(w for job in pool.jobs for w in job[0]) == list(range(6))
-        assert {job[1] for job in pool.jobs} == {6}
-    assert outs[0] == outs[1]
+    for threads in (None, 1, 10**6):
+        outs = set()
+        for cpus in (2, 8, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            started = len(stand_in_pool)
+            out = min_triples_field(f5, SearchConfig(parallel_depth=2, threads=threads))
+            assert (out.psi, out.witnesses) == (seq.psi, seq.witnesses)
+            outs.add((out.nodes_expanded, out.prunes))
+            shares = min(threads or cpus, 6)
+            procs = min(shares, cpus)
+            assert len(stand_in_pool) == started + (procs > 1), (threads, cpus)
+            if procs > 1:
+                pool = stand_in_pool[-1]
+                assert pool.max_workers == len(pool.jobs) == procs
+                assert sorted(w for job in pool.jobs for w in job) == list(range(shares))
+                assert pool.initargs[0][3] == shares
+        if threads is not None:
+            # a requested thread count fixes the share count, so the counts too
+            assert len(outs) == 1, threads
 
 
 def test_prefix_tasks_split_below_the_roots():
@@ -767,24 +788,6 @@ def test_parallel_threads_from_the_environment(mode, monkeypatch):
     assert out.config.threads == 2
     pin = [c[3:] for c in PARALLEL_COUNTS if c[:3] == ("field", 9, mode)]
     assert [(out.nodes_expanded, out.prunes)] == pin
-
-
-def test_pool_size_is_clamped():
-    # huge requests are checked through the clamp alone: no process is started
-    assert _pool_size(10**6, 10**6, 2) == 2
-    assert _pool_size(10**6, 3, 64) == 3
-    assert _pool_size(None, 100, 2) == 2
-    assert _pool_size(1, 100, 8) == 1
-
-
-def test_parallel_agrees_with_sequential():
-    f7 = field_make(7)
-    seq = min_triples_field(f7, SearchConfig(mode="enumerate_all_min"))
-    par = min_triples_field(
-        f7, SearchConfig(mode="enumerate_all_min", parallel_depth=2, threads=2)
-    )
-    assert par.psi == seq.psi
-    assert par.witnesses == seq.witnesses
 
 
 def test_parallel_zn_and_plane_agree():
@@ -846,9 +849,10 @@ def test_recount_catches_a_wrong_pair_table(kind, n, builder, monkeypatch):
 def test_recount_rejects_a_non_bijection(kind, n, monkeypatch):
     real = search._pair_search
 
-    def broken(*args):
-        best, witnesses, nodes, prunes = real(*args)
-        return best, [w[:1] + w[:1] + w[2:] for w in witnesses], nodes, prunes
+    def broken(size, pairs, node_limit, prefix, inc):
+        stop = real(size, pairs, node_limit, prefix, inc)
+        inc.witnesses = [w[:1] + w[:1] + w[2:] for w in inc.witnesses]
+        return stop
 
     monkeypatch.setattr(search, "_pair_search", broken)
     with pytest.raises(ValueError, match="bijection"):

@@ -33,11 +33,24 @@ J. Algorithms 1998).  _run_search takes G as a list of column maps, finds those
 roots by marking orbits in lex order, and searches only under them, in
 ascending order; min_value, lex_least and first_below are exact there.  The
 roots are (0, 1) over a field and (0, g) for each divisor g < n of n over Z_n.
-enumerate_all_min expands the minimizers found under the roots by G, drops
-repeats and sorts.
+
+Fields and Z_n are also searched modulo the row maps alpha: x -> u*x + b (u
+nonzero, or a unit mod n), which act by sigma -> sigma o alpha^-1 and keep the
+count: they permute the lines, or scale the determinant by u.  Rows are placed
+in order, so these give no roots but a lex-leader check in the kernel
+(Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
+problems", KR 1996): a node is pruned once some alpha, with the beta in G that
+makes its image least, takes the placed prefix lex-below itself.  That never
+prunes the lex-least member of an orbit, the one min_value, lex_least and
+first_below report.  The check is incremental (_lex_step, _row_maps): each
+alpha waits, filed under the row its next comparison needs, and is dropped
+for the subtree once its image compares higher.  Planes pass no row maps.
+enumerate_all_min expands the minimizers found by the row maps, then by G,
+drops repeats and sorts.
 
 Every mode is one pass of the kernel against one exclusive limit: a node is
-pruned once its count, or its look-ahead bound, reaches the limit.
+pruned once its count, or its look-ahead bound, reaches the limit, or once
+the lex-leader check cuts it; prunes counts all three.
 min_value and lex_least start from a seed s that a known witness attains as
 the limit s + 1 (or from C(size, 3) + 1) and lower it to each kept leaf's
 value, which makes the witness left at the end the lex-first one at the
@@ -167,22 +180,28 @@ def _zn_pairs(n):
     """pairs[p][a] for cells a = (i, y_i) and p = (j, y_j), i < j: the cells
     (d, y), d > j, whose determinant with a and p vanishes mod n, that is
     y*(j - i) = y_i*(j - d) + y_j*(d - i) mod n."""
+    # scaled[k][y] = k*y mod n, for k in -(n-1)..n-1 by negative indexing;
+    # solve[e][d][c] lists the cells (d, y) with y*e = c mod n, ascending, for
+    # c in 0..2n-2, so that a sum of two residues needs no modulus
+    scaled = [[k * y % n for y in range(n)] for k in range(n)]
+    solve = [None]
+    for e in range(1, n):
+        ys = [[] for _ in range(n)]
+        for y in range(n):
+            ys[scaled[e][y]].append(y)
+        solve.append([[tuple([d * n + y for y in s]) for s in ys + ys] for d in range(n)])
     pairs = []
     for j in range(n):
         for yj in range(n):
             row = []
             for i in range(j):
-                g = gcd(j - i, n)
-                m = n // g
-                inv = pow((j - i) // g, -1, m)
+                terms = [(solve[j - i][d], scaled[j - d], scaled[d - i][yj])
+                         for d in range(j + 1, n)]
                 for yi in range(n):
                     cells = []
                     if yi != yj:  # no permutation holds two cells of a column
-                        for d in range(j + 1, n):
-                            c = (yi * (j - d) + yj * (d - i)) % n
-                            if c % g == 0:
-                                y0 = (c // g) * inv % m
-                                cells.extend([d * n + y0 + t * m for t in range(g)])
+                        for sols, by_yi, c in terms:
+                            cells += sols[by_yi[yi] + c]
                     row.append(tuple(cells))
             pairs.append(row)
     return pairs
@@ -212,7 +231,45 @@ def _pair_place(row, placed, cnt, step):
             cnt[c] += step
 
 
-def _pair_search(size, pairs, node_limit, prefix, inc):
+def _lex_step(syms, d, sig, least, after):
+    """Advance the lex-leader states that wait for row d - 1, now that rows
+    0..d-1 are placed with columns sig[:d].  A state (inv, k, s) holds a row
+    map alpha as inv = alpha^-1 and, as its offset in the tables of
+    _row_maps, the set s of the column maps beta whose image
+    beta o sigma o alpha^-1 ties sigma at the positions before k.  s is None
+    until the state is first read, which sets it to the maps with
+    beta(sigma(inv[0])) = 0.  The image's k-th column is beta(sigma(inv[k])),
+    least over s, so a state compares position k once rows inv[k] and k are
+    placed.  A lower image prunes, a higher one drops the state for the
+    subtree, a tie narrows s and goes on to k + 1, and a tie at every
+    position drops it too.  A state that must wait is re-filed under the row
+    it waits for.  Returns the rows re-filed under, for the caller to pop on
+    return, or None to prune."""
+    size = len(sig)
+    moved = []
+    for inv, k, s in syms[d - 1]:
+        if s is None:
+            s = sig[inv[0]] * size
+        while k < size:
+            j = inv[k]
+            r = j if j > k else k
+            if r >= d:
+                syms[r].append((inv, k, s))
+                moved.append(r)
+                break
+            y = s + sig[j]
+            if least[y] != sig[k]:
+                if least[y] < sig[k]:
+                    for r in moved:
+                        syms[r].pop()
+                    return None
+                break
+            s = after[y]
+            k += 1
+    return moved
+
+
+def _pair_search(size, pairs, node_limit, prefix, inc, sym):
     """Lex-ordered DFS over the completions of prefix that offers each leaf
     to the _Incumbent inc and prunes against its limit; adds the nodes
     expanded and prunes made to inc's counts and returns True once a "first"
@@ -220,12 +277,20 @@ def _pair_search(size, pairs, node_limit, prefix, inc):
     kernel raises NodeLimitExceeded once that count passes node_limit.
     Before expanding a node it prunes on cost + the sum over unplaced rows of
     the row's least counter in a free column: counters only grow, so no leaf
-    below costs less."""
+    below costs less.  With sym, the row maps of _row_maps, it also prunes a
+    node that some row map takes lex-below itself (_lex_step)."""
     budget = None if node_limit is None else node_limit - inc.nodes
     nodes = prunes = 0
     cells = size * size
     cnt = [0] * cells
     placed = []  # the cells placed so far, one per row
+    sig = [0] * size  # sig[d] is row d's column, once placed
+    syms = least = after = None
+    if sym is not None:
+        rows, least, after = sym
+        syms = [[] for _ in range(size)]  # syms[r]: the states waiting for row r
+        for inv in rows:
+            syms[max(inv[0], inv[1], 1)].append((inv, 1, None))
     used = 0
     cost = 0
     for d, y in enumerate(prefix):
@@ -234,6 +299,10 @@ def _pair_search(size, pairs, node_limit, prefix, inc):
         _pair_place(pairs[p], placed, cnt, 1)
         placed.append(p)
         used |= 1 << y
+        sig[d] = y
+        if syms is not None and _lex_step(syms, d + 1, sig, least, after) is None:
+            inc.prunes += 1
+            return False
     limit = inc.limit
     if cost >= limit:
         inc.prunes += 1
@@ -242,7 +311,7 @@ def _pair_search(size, pairs, node_limit, prefix, inc):
     def rec(d, used, cost):
         nonlocal limit, nodes, prunes
         if d == size:
-            stop = inc.offer(cost, [tuple([p % size for p in placed])])
+            stop = inc.offer(cost, [tuple(sig)])
             limit = inc.limit
             return stop
         free = [y for y in range(size) if not used >> y & 1]
@@ -261,15 +330,24 @@ def _pair_search(size, pairs, node_limit, prefix, inc):
                 raise NodeLimitExceeded(f"expanded more than {node_limit} nodes")
             if nc >= limit:
                 prunes += 1
-            else:
-                row = pairs[p]
-                _pair_place(row, placed, cnt, 1)
-                placed.append(p)
-                stop = rec(d + 1, used | 1 << y, nc)
-                placed.pop()
-                _pair_place(row, placed, cnt, -1)
-                if stop:
-                    return True
+                continue
+            sig[d] = y
+            moved = ()
+            if syms is not None:
+                moved = _lex_step(syms, d + 1, sig, least, after)
+                if moved is None:
+                    prunes += 1
+                    continue
+            row = pairs[p]
+            _pair_place(row, placed, cnt, 1)
+            placed.append(p)
+            stop = rec(d + 1, used | 1 << y, nc)
+            placed.pop()
+            _pair_place(row, placed, cnt, -1)
+            for r in moved:
+                syms[r].pop()
+            if stop:
+                return True
         return False
 
     try:
@@ -285,7 +363,7 @@ def _pair_search(size, pairs, node_limit, prefix, inc):
 
 
 # a pool process's search context, (size, pairs, node_limit, count, roots,
-# depth, limit, mode) as _run_shares reads it, set once per process by
+# depth, limit, mode, sym) as _run_shares reads it, set once per process by
 # _init_worker so that a job is only its share indices
 _worker = None
 
@@ -334,19 +412,19 @@ def _run_shares(ctx, shares):
     prefixes are walked once, lazily, each task going to its share.  Returns
     the shares' incumbents.  A share raises NodeLimitExceeded once its own
     node count passes the limit."""
-    size, pairs, node_limit, count, roots, depth, limit, mode = ctx
+    size, pairs, node_limit, count, roots, depth, limit, mode, sym = ctx
     incs = [_Incumbent(limit, mode) for _ in shares]
     open_shares = dict(zip(shares, incs))
     for i, prefix in enumerate(_prefixes(size, roots, depth)):
         inc = open_shares.get(i % count)
-        if inc is not None and _pair_search(size, pairs, node_limit, prefix, inc):
+        if inc is not None and _pair_search(size, pairs, node_limit, prefix, inc, sym):
             del open_shares[i % count]
             if not open_shares:
                 break
     return incs
 
 
-def _search_shares(cfg, size, pairs, roots, limit, mode):
+def _search_shares(cfg, size, pairs, sym, roots, limit, mode):
     """Run the kernel over the prefix tasks of roots in static shares and
     offer the shares to one _Incumbent(limit, mode), which is returned with
     the summed nodes and prunes.
@@ -375,7 +453,7 @@ def _search_shares(cfg, size, pairs, roots, limit, mode):
         cpus = os.cpu_count() or 1
         count = min(cfg.threads or cpus, len(roots) * perm(size - 2, min(depth, size - 2)))
         procs = min(count, cpus)
-    ctx = (size, pairs, cfg.node_limit, count, roots, depth, limit, mode)
+    ctx = (size, pairs, cfg.node_limit, count, roots, depth, limit, mode, sym)
     if procs == 1:
         shares = _run_shares(ctx, range(count))
     else:
@@ -413,11 +491,12 @@ def _roots(size, group):
     return roots
 
 
-def _run_search(cfg, size, group, pairs, recount, seed_value=None):
+def _run_search(cfg, size, group, pairs, recount, seed_value=None, sym=None):
     """Run cfg's mode over the completions of the orbit-least 2-prefixes of
     group, a list of column maps (tuples) that includes the identity, on the
-    kernel with pair table pairs.  enumerate_all_min expands the minimizers
-    found there by group.  cfg None runs the default SearchConfig."""
+    kernel with pair table pairs and, if given, the row maps sym of
+    _row_maps.  enumerate_all_min expands the minimizers found there by the
+    row maps, then by group.  cfg None runs the default SearchConfig."""
     cfg = cfg or SearchConfig()
     t0 = time.perf_counter()
     if cfg.mode == "first_below":
@@ -426,7 +505,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
         seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
         limit = comb(size, 3) + 1 if seed is None else seed + 1
         mode = "all" if cfg.mode == "enumerate_all_min" else "best"
-    top, nodes, prunes = _search_shares(cfg, size, pairs, _roots(size, group), limit, mode)
+    top, nodes, prunes = _search_shares(cfg, size, pairs, sym, _roots(size, group), limit, mode)
     psi = top.best if top.witnesses else None
     if psi is None and mode != "first":
         # only possible when the seed undercut the true minimum, so no
@@ -434,7 +513,13 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None):
         raise ValueError(f"upper bound seed {seed} is below the minimum")
     found = top.witnesses
     if cfg.mode == "enumerate_all_min":
-        found = sorted({tuple([beta[y] for y in w]) for w in found for beta in group})
+        if sym is not None:
+            found = [tuple([w[i] for i in inv]) for w in found for inv in sym[0]]
+        seen = set()  # a union of orbits under group, so a member's orbit is in it
+        for w in found:
+            if w not in seen:
+                seen.update([tuple([beta[y] for y in w]) for beta in group])
+        found = sorted(seen)
     witnesses = tuple(found)
     for w in witnesses:
         got = recount(w)
@@ -448,6 +533,38 @@ def _y_affine_group(ctx, scales):
     """The maps y -> c*y + d with c in scales and d any element of ctx."""
     els = ctx.elements()
     return [tuple([ctx.add(ctx.mul(c, y), d) for y in els]) for c in scales for d in els]
+
+
+def _row_maps(group):
+    """The lex-leader context of a field or Z_n search: its row maps, the
+    maps x -> u*x + b as the tuples alpha^-1, which are group itself, and
+    flat tables over sets of column maps.  Set s, at offset s*size, has
+    least[s*size + y] = its least beta(y) and after[s*size + y] = the offset
+    of its maps that reach it.  Set y0 is the maps with beta(y0) = 0, one per
+    scaling: with sigma(0) = 0, as at every root, those are the maps whose
+    image ties sigma at position 0 (_lex_step).  Narrowing them leaves one
+    map over a field, and a coset of a stabilizer over Z_n."""
+    size = len(group[0])
+    starts = [[] for _ in range(size)]
+    for b, beta in enumerate(group):
+        starts[beta.index(0)].append(b)
+    sets = [tuple(ids) for ids in starts]  # sets of indices into group
+    index = {ids: s for s, ids in enumerate(sets)}
+    least, after = [], []
+    for s, ids in enumerate(sets):  # grows as narrowing finds new sets
+        if len(ids) == 1:
+            least += group[ids[0]]
+            after += [s * size] * size
+            continue
+        for y in range(size):
+            low = min([group[b][y] for b in ids])
+            tied = tuple([b for b in ids if group[b][y] == low])
+            if tied not in index:
+                index[tied] = len(sets)
+                sets.append(tied)
+            least.append(low)
+            after.append(index[tied] * size)
+    return group, least, after
 
 
 def _column_group(perms):
@@ -515,7 +632,7 @@ def min_triples_field(f, cfg=None):
     # the line y = s*x + b, s nonzero, as a row -> column map is the column
     # map y -> s*y + b, so the lines and the group are one list
     lines = _y_affine_group(f, range(1, q))
-    return _run_search(cfg, q, lines, _line_pairs(q, lines), recount, seed)
+    return _run_search(cfg, q, lines, _line_pairs(q, lines), recount, seed, _row_maps(lines))
 
 
 def min_triples_zn(n, cfg=None):
@@ -531,7 +648,8 @@ def min_triples_zn(n, cfg=None):
         return count_triples(PermGraph(ring, w))
 
     seed = recount(closed_form_minimizer(field_make(n)).images) if len(units) == n - 1 else None
-    return _run_search(cfg, n, _y_affine_group(ring, units), _zn_pairs(n), recount, seed)
+    group = _y_affine_group(ring, units)
+    return _run_search(cfg, n, group, _zn_pairs(n), recount, seed, _row_maps(group))
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):

@@ -410,13 +410,13 @@ def test_module_entry_point():
 
 _PINNED_CALLS = [
     ({}, ("psi", "field", "5"), 0,
-     "8005c375cb15602c90c2e2e27efe77f9413ce210ef510b3deb4353c242f69b18"),
+     "8e3ac15ed3000c157d06bbe2a9ce7b646fb6e2fae559c496e50005d6d5554634"),
     ({}, ("psi", "field", "5", "--tsv"), 0,
-     "7e8c15ca1ec17fa4810dbed8cce1e421ce31e5e37dedc8262fb559885fc130f0"),
+     "3eded1b452d1157bad87c6b01fa6d033c4ccf3e2ada9f775a7d0b9f9509c7618"),
     ({}, ("psi", "field", "7", "--parallel-depth", "2", "--threads", "2"), 0,
-     "5813f814c71639bc7984e2a7818505961c0ae1bd96ace420f237216fca87b030"),
+     "e6f0d2d171560e05c2fa1f41f421a0f49b7096e0ff9cd266ee534186d1e00dac"),
     ({"COLLINEA_THREADS": "2"}, ("psi", "field", "5"), 0,
-     "f4cbbfffd514688c3582ec427a060b2933a78a6d9be51a342da5c65646bdcaaf"),
+     "7049f067763cfce6bd23c696b9c0820b5e85fc5c8382cdaeb56dc4f17bb3c515"),
     ({}, ("psi", "zn", "6"), 0,
      "36037069c5653ba6e062033acacbfd14b234e41b4b3096dcb7d6a1b43d943ce2"),
     ({}, ("psi", "plane", "ag_2_9"), 0,
@@ -424,9 +424,9 @@ _PINNED_CALLS = [
     ({}, ("psi", "plane", "ag_2_9", "--all-pairs", "--tsv"), 0,
      "0cf450c2b143ddb81322e0cdc1c2eb9b288ab711545e751d27385f7af6cf38d9"),
     ({}, ("lexleast", "9"), 0,
-     "89a52b0ea1b16b9454627e156ebe7a9feb003bd582030b11cacc65fe306daa06"),
+     "4560ddc6307c570d1ca2e948b2578a1283485e7c23ad7a1ede271422076f214d"),
     ({}, ("minimizers", "5", "--check-fractional"), 0,
-     "8f961dbd0498898b8adc41ddc483ba5f9a789cf76e144fa62c000d07e4127eba"),
+     "9f2fd4008fb5898ef970c69be189ae3a7faaadd047735865dcc2564a4d0829fc"),
     ({}, ("triples", "--g", "--q", "7"), 0,
      "0abeefc453d607718196598ffc053289646af7e41496fa6f3d424ef2ef8622ce"),
     ({}, ("quadruples", "--inv", "--q", "8"), 0,

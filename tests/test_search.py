@@ -178,8 +178,10 @@ def test_node_limit():
                     == (free.psi, free.witnesses, nodes, free.prunes))
             with pytest.raises(NodeLimitExceeded, match=f"more than {nodes - 1} nodes"):
                 _search(kind, n, SearchConfig(node_limit=nodes - 1, **par))
-    with pytest.raises(NodeLimitExceeded, match="more than 461 nodes"):
-        _search("field", 9, SearchConfig(node_limit=461, parallel_depth=2, threads=2))
+    # GF(9)'s two shares expand 145 and 101 nodes: neither passes 145, their
+    # sum does
+    with pytest.raises(NodeLimitExceeded, match="more than 145 nodes"):
+        _search("field", 9, SearchConfig(node_limit=145, parallel_depth=2, threads=2))
     # at depth 2 every task of a 3-point domain is a whole permutation, so the
     # pool expands no node and a zero limit is not exceeded
     for kind in ("field", "zn"):
@@ -500,11 +502,114 @@ def test_field_outputs_are_pinned(q, mode, bound):
     assert hashlib.sha256(got.encode()).hexdigest() == FIELD_OUTPUT_SHA256[q, mode, bound]
 
 
-@pytest.mark.parametrize("q", [5, 7, 9])
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
 def test_enumeration_has_q2_q_minus_1_minimizers(q):
     out = min_triples_field(field_make(q), SearchConfig(mode="enumerate_all_min"))
     assert len(out.witnesses) == q * q * (q - 1)
     assert list(out.witnesses) == sorted(set(out.witnesses))
+
+
+# -- the row maps ------------------------------------------------------------
+# Fields and Z_n also search modulo the row maps x -> u*x + b: the kernel
+# prunes a prefix that some row map, with its best column map, takes
+# lex-below itself, which never prunes the lex-least member of an orbit.
+
+
+def _column_only(monkeypatch):
+    monkeypatch.setattr(search, "_row_maps", lambda group: None)
+
+
+def _outcomes(kind, n, par=None):
+    """(mode, bound) -> (psi, witnesses, nodes) in every mode, first_below at
+    psi (a proof that nothing is lower), psi + 1 and psi + 3."""
+    par = par or {}
+    got = {}
+    for mode in ("min_value", "lex_least", "enumerate_all_min"):
+        out = _search(kind, n, SearchConfig(mode=mode, **par))
+        got[mode, None] = (out.psi, out.witnesses, out.nodes_expanded)
+    psi = got["min_value", None][0]
+    for bound in (psi, psi + 1, psi + 3):
+        out = _search(kind, n, SearchConfig(mode="first_below", bound=bound, **par))
+        got["first_below", bound] = (out.psi, out.witnesses, out.nodes_expanded)
+    return got
+
+
+@pytest.mark.parametrize("kind, n", [("field", q) for q in (3, 4, 5, 7, 8, 9, 11)]
+                         + [("zn", n) for n in range(3, 13)])
+def test_row_maps_agree_with_the_column_only_search(kind, n, monkeypatch):
+    # the same psi and witnesses as the search modulo the column maps alone,
+    # sequentially and at threads 2, depth 2; sequentially never more nodes,
+    # since the incumbent reaches each value no later
+    fast = _outcomes(kind, n)
+    par = _outcomes(kind, n, {"threads": 2, "parallel_depth": 2})
+    _column_only(monkeypatch)
+    ref = _outcomes(kind, n)
+    for key, (psi, witnesses, nodes) in ref.items():
+        assert fast[key][:2] == par[key][:2] == (psi, witnesses), key
+        assert fast[key][2] <= nodes, key
+
+
+def test_row_maps_agree_at_q13(monkeypatch):
+    fast = min_triples_field(field_make(13))
+    _column_only(monkeypatch)
+    ref = min_triples_field(field_make(13))
+    assert (fast.psi, fast.witnesses) == (ref.psi, ref.witnesses)
+    assert (fast.psi, fast.nodes_expanded, ref.nodes_expanded) == (6, 22662, 153833)
+
+
+def _symmetries(kind, n, monkeypatch):
+    """The row maps (as alpha^-1) and column maps a search of kind over n uses."""
+    seen = []
+    real = search._row_maps
+
+    def spy(group):
+        sym = real(group)
+        seen.append((sym[0], group))
+        return sym
+
+    monkeypatch.setattr(search, "_row_maps", spy)
+    _search(kind, n, SearchConfig())
+    [(rows, group)] = seen
+    return rows, group
+
+
+@pytest.mark.parametrize("kind, n", [("field", 5), ("field", 8), ("field", 9),
+                                     ("zn", 8), ("zn", 9), ("zn", 12)])
+def test_row_and_column_maps_keep_the_triple_count(kind, n, monkeypatch):
+    # every sigma -> beta o sigma o alpha^-1, counted by collinear
+    rows, group = _symmetries(kind, n, monkeypatch)
+    units = n - 1 if kind == "field" else sum(gcd(u, n) == 1 for u in range(1, n))
+    assert len(set(rows)) == len(rows) == len(group) == n * units
+    ctx = field_make(n) if kind == "field" else RingSpec(n)
+    rng = random.Random(n)
+    for _ in range(2):
+        w = tuple(rng.sample(range(n), n))
+        want = count_triples(PermGraph(ctx, w))
+        for inv in rows:
+            moved = [w[i] for i in inv]
+            assert all(count_triples(PermGraph(ctx, tuple([beta[y] for y in moved]))) == want
+                       for beta in group), (w, inv)
+
+
+@pytest.mark.parametrize("kind, n", [("field", 5), ("field", 7), ("field", 8), ("zn", 6),
+                                     ("zn", 8), ("zn", 9)])
+def test_enumeration_keeps_one_minimizer_per_orbit(kind, n, monkeypatch):
+    # before the expansion, the kernel has kept exactly the lex-least member
+    # of each orbit of minimizers under the row and column maps
+    rows, group = _symmetries(kind, n, monkeypatch)
+    kept = []
+    real = search._pair_search
+
+    def spy(*args):
+        stop = real(*args)
+        kept[:] = args[4].witnesses
+        return stop
+
+    monkeypatch.setattr(search, "_pair_search", spy)
+    out = _search(kind, n, SearchConfig(mode="enumerate_all_min"))
+    orbits = [{tuple([beta[w[i]] for i in inv]) for inv in rows for beta in group} for w in kept]
+    assert [min(orbit) for orbit in orbits] == kept
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == len(out.witnesses)
 
 
 def test_seed_below_the_minimum_is_rejected():
@@ -515,13 +620,13 @@ def test_seed_below_the_minimum_is_rejected():
 
 
 NODE_COUNTS = [
-    ("field", 9, "min_value", 922, 698),
-    ("field", 9, "enumerate_all_min", 1455, 1053),
-    ("field", 11, "min_value", 11551, 9353),
-    ("zn", 9, "min_value", 3129, 2257),
-    ("zn", 9, "enumerate_all_min", 5767, 3771),
-    ("zn", 10, "min_value", 5519, 4328),
-    ("zn", 11, "min_value", 11551, 9353),
+    ("field", 9, "min_value", 236, 179),
+    ("field", 9, "enumerate_all_min", 294, 220),
+    ("field", 11, "min_value", 2337, 1902),
+    ("zn", 9, "min_value", 579, 402),
+    ("zn", 9, "enumerate_all_min", 858, 546),
+    ("zn", 10, "min_value", 1552, 1190),
+    ("zn", 11, "min_value", 2337, 1902),
     ("plane", "ag_2_9", "min_value", 1056, 761),
     ("plane", "ag_2_9", "enumerate_all_min", 1641, 1115),
     ("plane", "hall_translation_deleted", "min_value", 12180, 8830),
@@ -535,20 +640,23 @@ def test_sequential_node_counts(kind, n, mode, nodes, prunes):
     # one pass over the tree under the orbit-least 2-prefixes: a second
     # (collect) pass would add thousands, and losing a plane's column group
     # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced);
-    # without the look-ahead bound the kernel expands 4-10x more (GF(9)
-    # 4,257, GF(11) 112,853, Z_9 15,246, Z_11 127,912, ag_2_9 4,460)
+    # without the look-ahead bound the kernel expanded 4-10x more (GF(9)
+    # 4,257, GF(11) 112,853, Z_9 15,246, Z_11 127,912, ag_2_9 4,460, before
+    # the row maps), and without the row maps' lex-leader check 3.5-5.5x more
+    # (GF(9) 922, GF(11) and Z_11 11,551, Z_9 3,129, Z_10 5,519)
     out = _search(kind, n, SearchConfig(mode=mode))
     assert (out.nodes_expanded, out.prunes) == (nodes, prunes)
 
 
 # nodes and prunes at threads 2, parallel_depth 2: two shares, each running
-# its tasks (every other one) against its own incumbent
+# its tasks (every other one) against its own incumbent; a task pruned by the
+# lex-leader check at its prefix counts one prune and no node
 PARALLEL_COUNTS = [
-    ("field", 9, "min_value", 883, 703),
-    ("field", 9, "enumerate_all_min", 1406, 1053),
-    ("zn", 9, "min_value", 3085, 2280),
-    ("zn", 9, "enumerate_all_min", 5747, 3800),
-    ("zn", 10, "min_value", 5533, 4450),
+    ("field", 9, "min_value", 246, 224),
+    ("field", 9, "enumerate_all_min", 275, 245),
+    ("zn", 9, "min_value", 726, 555),
+    ("zn", 9, "enumerate_all_min", 994, 659),
+    ("zn", 10, "min_value", 1711, 1431),
     ("plane", "ag_2_9", "min_value", 1064, 787),
     ("plane", "ag_2_9", "enumerate_all_min", 1665, 1141),
     ("plane", "hall_translation_deleted", "min_value", 11885, 8882),
@@ -613,8 +721,9 @@ def test_shares_merge_in_task_order():
     # order the outcome is share 1's witness, the sequential one
     n = 12
     units = [c for c in range(1, n) if gcd(c, n) == 1]
-    roots = _roots(n, search._y_affine_group(RingSpec(n), units))
-    ctx = (n, _zn_pairs(n), None, 2, roots, 2, 1, "first")
+    group = search._y_affine_group(RingSpec(n), units)
+    roots = _roots(n, group)
+    ctx = (n, _zn_pairs(n), None, 2, roots, 2, 1, "first", search._row_maps(group))
     hits = [_run_shares(ctx, [w]) for w in (0, 1)]
     # a witness's task is the one its 4-cell prefix (root and depth 2) heads
     tasks = list(_prefixes(n, roots, 2))
@@ -669,16 +778,23 @@ def stand_in_pool(monkeypatch):
 
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
 def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
-    # the pair table goes to each process once, through the pool's
-    # initializer, with the share count, the 2-prefix roots, the depth and
-    # the bounds; a job holds only its share indices
+    # the pair table and the row maps go to each process once, through the
+    # pool's initializer, with the share count, the 2-prefix roots, the depth
+    # and the bounds; a job holds only its share indices.  Planes have no
+    # row maps
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
     [pool] = stand_in_pool
     assert pool.max_workers == len(pool.jobs) == 2
-    [(size, pairs, node_limit, count, roots, depth, limit, mode)] = pool.initargs
+    [(size, pairs, node_limit, count, roots, depth, limit, mode, sym)] = pool.initargs
     assert (count, depth, mode) == (2, 2, "best")
+    if kind == "plane":
+        assert sym is None
+    else:
+        rows, least, after = sym
+        # x -> u*x + b, u a unit
+        assert len(set(rows)) == len(rows) == n * sum(gcd(u, n) == 1 for u in range(1, n))
     assert all(len(root) == 2 for root in roots)
     for j, job in enumerate(pool.jobs):
         assert job == range(j, 2, 2)
@@ -849,8 +965,8 @@ def test_recount_catches_a_wrong_pair_table(kind, n, builder, monkeypatch):
 def test_recount_rejects_a_non_bijection(kind, n, monkeypatch):
     real = search._pair_search
 
-    def broken(size, pairs, node_limit, prefix, inc):
-        stop = real(size, pairs, node_limit, prefix, inc)
+    def broken(size, pairs, node_limit, prefix, inc, sym):
+        stop = real(size, pairs, node_limit, prefix, inc, sym)
         inc.witnesses = [w[:1] + w[:1] + w[2:] for w in inc.witnesses]
         return stop
 

@@ -29,10 +29,10 @@ The set of permutations below any count is closed under G.  If beta took the
 2-prefix of its lex-first member sigma below the prefix itself, beta o sigma
 would be a smaller member, so sigma lies under an orbit-least 2-prefix (the
 orbit-representative argument of McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 1998).  _run_search takes G as a list of column maps, finds those
-roots by marking orbits in lex order, and searches only under them, in
-ascending order; min_value, lex_least and first_below are exact there.  The
-roots are (0, 1) over a field and (0, g) for each divisor g < n of n over Z_n.
+J. Algorithms 1998).  _symmetry reads those roots off its tables, and
+_run_search searches only under them, in ascending order; min_value,
+lex_least and first_below are exact there.  The roots are (0, 1) over a field
+and (0, g) for each divisor g < n of n over Z_n.
 
 Fields and Z_n are also searched modulo the row maps alpha: x -> u*x + b (u
 nonzero, or a unit mod n), which act by sigma -> sigma o alpha^-1 and keep the
@@ -42,9 +42,11 @@ in order, so these give no roots but a lex-leader check in the kernel
 problems", KR 1996): a node is pruned once some alpha, with the beta in G that
 makes its image least, takes the placed prefix lex-below itself.  That never
 prunes the lex-least member of an orbit, the one min_value, lex_least and
-first_below report.  The check is incremental (_lex_step, _row_maps): each
-alpha waits, filed under the row its next comparison needs, and is dropped
-for the subtree once its image compares higher.  Planes pass no row maps.
+first_below report.  The check is incremental (_lex_step): each alpha waits,
+filed under the row its next comparison needs, and is dropped for the
+subtree once its image compares higher.  Planes pass the identity as their
+one row map, which _symmetry drops, as it does over a field or prime n:
+where G acts freely on 2-prefixes it never cuts.
 enumerate_all_min expands the minimizers found by the row maps, then by G,
 drops repeats and sorts.
 
@@ -232,28 +234,25 @@ def _pair_place(row, placed, cnt, step):
 
 
 def _lex_step(syms, d, sig, least, after):
-    """Advance the lex-leader states that wait for row d - 1, now that rows
-    0..d-1 are placed with columns sig[:d].  A state (inv, k, s) holds a row
+    """Advance the lex-leader states that wait for row d, now that rows 0..d
+    are placed with columns sig[:d + 1].  A state (inv, k, s) holds a row
     map alpha as inv = alpha^-1 and, as its offset in the tables of
-    _row_maps, the set s of the column maps beta whose image
-    beta o sigma o alpha^-1 ties sigma at the positions before k.  s is None
-    until the state is first read, which sets it to the maps with
-    beta(sigma(inv[0])) = 0.  The image's k-th column is beta(sigma(inv[k])),
-    least over s, so a state compares position k once rows inv[k] and k are
-    placed.  A lower image prunes, a higher one drops the state for the
-    subtree, a tie narrows s and goes on to k + 1, and a tie at every
-    position drops it too.  A state that must wait is re-filed under the row
-    it waits for.  Returns the rows re-filed under, for the caller to pop on
-    return, or None to prune."""
+    _symmetry, the set s of the column maps beta whose image
+    beta o sigma o alpha^-1 ties sigma at the positions before k; it starts
+    at (inv, 0, 0), set 0 being the whole group.  The image's k-th column is
+    beta(sigma(inv[k])), least over s, so a state compares position k once
+    rows inv[k] and k are placed.  A lower image prunes, a higher one drops
+    the state for the subtree, a tie narrows s and goes on to k + 1, and a
+    tie at every position drops it too.  A state that must wait is re-filed
+    under the row it waits for.  Returns the rows re-filed under, for the
+    caller to pop on return, or None to prune."""
     size = len(sig)
     moved = []
-    for inv, k, s in syms[d - 1]:
-        if s is None:
-            s = sig[inv[0]] * size
+    for inv, k, s in syms[d]:
         while k < size:
             j = inv[k]
             r = j if j > k else k
-            if r >= d:
+            if r > d:
                 syms[r].append((inv, k, s))
                 moved.append(r)
                 break
@@ -277,20 +276,18 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
     kernel raises NodeLimitExceeded once that count passes node_limit.
     Before expanding a node it prunes on cost + the sum over unplaced rows of
     the row's least counter in a free column: counters only grow, so no leaf
-    below costs less.  With sym, the row maps of _row_maps, it also prunes a
-    node that some row map takes lex-below itself (_lex_step)."""
+    below costs less.  It also prunes a node that some row map of sym, the
+    (rows, least, after) of _symmetry, takes lex-below itself (_lex_step)."""
     budget = None if node_limit is None else node_limit - inc.nodes
     nodes = prunes = 0
     cells = size * size
     cnt = [0] * cells
     placed = []  # the cells placed so far, one per row
     sig = [0] * size  # sig[d] is row d's column, once placed
-    syms = least = after = None
-    if sym is not None:
-        rows, least, after = sym
-        syms = [[] for _ in range(size)]  # syms[r]: the states waiting for row r
-        for inv in rows:
-            syms[max(inv[0], inv[1], 1)].append((inv, 1, None))
+    rows, least, after = sym
+    syms = [[] for _ in range(size)]  # syms[r]: the states waiting for row r
+    for inv in rows:  # first read once its first two comparisons can run
+        syms[max(inv[0], inv[1])].append((inv, 0, 0))
     used = 0
     cost = 0
     for d, y in enumerate(prefix):
@@ -300,7 +297,7 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
         placed.append(p)
         used |= 1 << y
         sig[d] = y
-        if syms is not None and _lex_step(syms, d + 1, sig, least, after) is None:
+        if syms[d] and _lex_step(syms, d, sig, least, after) is None:
             inc.prunes += 1
             return False
     limit = inc.limit
@@ -333,8 +330,8 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
                 continue
             sig[d] = y
             moved = ()
-            if syms is not None:
-                moved = _lex_step(syms, d + 1, sig, least, after)
+            if syms[d]:
+                moved = _lex_step(syms, d, sig, least, after)
                 if moved is None:
                     prunes += 1
                     continue
@@ -479,24 +476,47 @@ def _search_shares(cfg, size, pairs, sym, roots, limit, mode):
 # frees put on the free list, and thousands stay allocated after a search.
 
 
-def _roots(size, group):
-    """The orbit-least 2-prefixes under group, in ascending order: walking the
-    prefixes in lex order, each one not yet marked starts a new orbit."""
-    seen = set()
-    roots = []
-    for a, b in permutations(range(size), 2):
-        if (a, b) not in seen:
-            roots.append((a, b))
-            seen.update((beta[a], beta[b]) for beta in group)
-    return roots
+def _symmetry(rows, group):
+    """The symmetry of a search, (rows, least, after, roots, group), from its
+    row maps alpha, as the tuples alpha^-1, and its column group, a list of
+    maps beta (tuples) that includes the identity.  least and after are flat
+    tables over sets of column maps: set s, at offset s*size, has
+    least[s*size + y] = its least beta(y) and after[s*size + y] = the offset
+    of its maps that reach it; set 0 is the whole group.  So the roots, the
+    orbit-least 2-prefixes in ascending order, are the (a, b) with
+    least[a] == a and least[after[a] + b] == b.  If the group acts freely on
+    2-prefixes, |G| * |roots| = size * (size - 1), only beta = id ties a root,
+    so the identity row map ties at every position and is dropped."""
+    size = len(group[0])
+    sets = [tuple(range(len(group)))]  # sets of indices into group
+    index = {sets[0]: 0}
+    least, after = [], []
+    for s, ids in enumerate(sets):  # grows as narrowing finds new sets
+        if len(ids) == 1:
+            least += group[ids[0]]
+            after += [s * size] * size
+            continue
+        for y in range(size):
+            low = min([group[b][y] for b in ids])
+            tied = tuple([b for b in ids if group[b][y] == low])
+            if tied not in index:
+                index[tied] = len(sets)
+                sets.append(tied)
+            least.append(low)
+            after.append(index[tied] * size)
+    roots = [(a, b) for a, b in permutations(range(size), 2)
+             if least[a] == a and least[after[a] + b] == b]
+    if len(group) * len(roots) == size * (size - 1):
+        rows = [inv for inv in rows if inv != tuple(range(size))]
+    return rows, least, after, roots, group
 
 
-def _run_search(cfg, size, group, pairs, recount, seed_value=None, sym=None):
-    """Run cfg's mode over the completions of the orbit-least 2-prefixes of
-    group, a list of column maps (tuples) that includes the identity, on the
-    kernel with pair table pairs and, if given, the row maps sym of
-    _row_maps.  enumerate_all_min expands the minimizers found there by the
-    row maps, then by group.  cfg None runs the default SearchConfig."""
+def _run_search(cfg, size, sym, pairs, recount, seed_value=None):
+    """Run cfg's mode over the completions of the roots of sym, the symmetry
+    of _symmetry, on the kernel with pair table pairs and sym's row maps.
+    enumerate_all_min expands the minimizers found there by the row maps,
+    then by the column group.  cfg None runs the default SearchConfig."""
+    rows, least, after, roots, group = sym
     cfg = cfg or SearchConfig()
     t0 = time.perf_counter()
     if cfg.mode == "first_below":
@@ -505,7 +525,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None, sym=None):
         seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
         limit = comb(size, 3) + 1 if seed is None else seed + 1
         mode = "all" if cfg.mode == "enumerate_all_min" else "best"
-    top, nodes, prunes = _search_shares(cfg, size, pairs, sym, _roots(size, group), limit, mode)
+    top, nodes, prunes = _search_shares(cfg, size, pairs, (rows, least, after), roots, limit, mode)
     psi = top.best if top.witnesses else None
     if psi is None and mode != "first":
         # only possible when the seed undercut the true minimum, so no
@@ -513,8 +533,7 @@ def _run_search(cfg, size, group, pairs, recount, seed_value=None, sym=None):
         raise ValueError(f"upper bound seed {seed} is below the minimum")
     found = top.witnesses
     if cfg.mode == "enumerate_all_min":
-        if sym is not None:
-            found = [tuple([w[i] for i in inv]) for w in found for inv in sym[0]]
+        found = found + [tuple([w[i] for i in inv]) for w in found for inv in rows]
         seen = set()  # a union of orbits under group, so a member's orbit is in it
         for w in found:
             if w not in seen:
@@ -533,38 +552,6 @@ def _y_affine_group(ctx, scales):
     """The maps y -> c*y + d with c in scales and d any element of ctx."""
     els = ctx.elements()
     return [tuple([ctx.add(ctx.mul(c, y), d) for y in els]) for c in scales for d in els]
-
-
-def _row_maps(group):
-    """The lex-leader context of a field or Z_n search: its row maps, the
-    maps x -> u*x + b as the tuples alpha^-1, which are group itself, and
-    flat tables over sets of column maps.  Set s, at offset s*size, has
-    least[s*size + y] = its least beta(y) and after[s*size + y] = the offset
-    of its maps that reach it.  Set y0 is the maps with beta(y0) = 0, one per
-    scaling: with sigma(0) = 0, as at every root, those are the maps whose
-    image ties sigma at position 0 (_lex_step).  Narrowing them leaves one
-    map over a field, and a coset of a stabilizer over Z_n."""
-    size = len(group[0])
-    starts = [[] for _ in range(size)]
-    for b, beta in enumerate(group):
-        starts[beta.index(0)].append(b)
-    sets = [tuple(ids) for ids in starts]  # sets of indices into group
-    index = {ids: s for s, ids in enumerate(sets)}
-    least, after = [], []
-    for s, ids in enumerate(sets):  # grows as narrowing finds new sets
-        if len(ids) == 1:
-            least += group[ids[0]]
-            after += [s * size] * size
-            continue
-        for y in range(size):
-            low = min([group[b][y] for b in ids])
-            tied = tuple([b for b in ids if group[b][y] == low])
-            if tied not in index:
-                index[tied] = len(sets)
-                sets.append(tied)
-            least.append(low)
-            after.append(index[tied] * size)
-    return group, least, after
 
 
 def _column_group(perms):
@@ -630,9 +617,10 @@ def min_triples_field(f, cfg=None):
         return count_triples(PermGraph(f, w))
 
     # the line y = s*x + b, s nonzero, as a row -> column map is the column
-    # map y -> s*y + b, so the lines and the group are one list
+    # map y -> s*y + b, so the lines, the row maps x -> u*x + b as alpha^-1
+    # and the group are one list
     lines = _y_affine_group(f, range(1, q))
-    return _run_search(cfg, q, lines, _line_pairs(q, lines), recount, seed, _row_maps(lines))
+    return _run_search(cfg, q, _symmetry(lines, lines), _line_pairs(q, lines), recount, seed)
 
 
 def min_triples_zn(n, cfg=None):
@@ -648,8 +636,8 @@ def min_triples_zn(n, cfg=None):
         return count_triples(PermGraph(ring, w))
 
     seed = recount(closed_form_minimizer(field_make(n)).images) if len(units) == n - 1 else None
-    group = _y_affine_group(ring, units)
-    return _run_search(cfg, n, group, _zn_pairs(n), recount, seed, _row_maps(group))
+    group = _y_affine_group(ring, units)  # also the row maps, as alpha^-1
+    return _run_search(cfg, n, _symmetry(group, group), _zn_pairs(n), recount, seed)
 
 
 def min_triples_plane(ap, h_class, v_class, cfg=None):
@@ -660,4 +648,5 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
     lines = [perm for perms in grid_lines(ap, h_class, v_class) for perm in perms]
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
     recount = _plane_recount(ap, h_class, v_class, skip)
-    return _run_search(cfg, q, _column_group(lines), _line_pairs(q, lines), recount)
+    sym = _symmetry([tuple(range(q))], _column_group(lines))
+    return _run_search(cfg, q, sym, _line_pairs(q, lines), recount)

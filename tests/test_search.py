@@ -36,8 +36,8 @@ from collinea.search import (
     _line_pairs,
     _plane_recount,
     _prefixes,
-    _roots,
     _run_shares,
+    _symmetry,
     _zn_pairs,
     min_triples_field,
     min_triples_plane,
@@ -288,11 +288,29 @@ ORDER9_GROUPS = {
 }
 
 
+def _roots(group):
+    """The roots _symmetry reads off its tables."""
+    return _symmetry([], group)[3]
+
+
+def _marked_roots(size, group):
+    """The orbit-least 2-prefixes under group, in ascending order, by
+    marking orbits: walking the prefixes in lex order, each one not yet
+    marked starts a new orbit."""
+    seen = set()
+    roots = []
+    for a, b in itertools.permutations(range(size), 2):
+        if (a, b) not in seen:
+            roots.append((a, b))
+            seen.update((beta[a], beta[b]) for beta in group)
+    return roots
+
+
 @pytest.mark.parametrize("name", AFFINE_FIXTURES)
 def test_order9_column_groups(name):
     ap = load_fixture(name)
     group = _group_of(ap, 0, 1)
-    assert (len(group), len(_roots(9, group))) == ORDER9_GROUPS[name]
+    assert (len(group), len(_roots(group))) == ORDER9_GROUPS[name]
     assert len(set(group)) == len(group)
     assert all(_moves_lines_to_lines(ap, 0, 1, b) for b in group)
     members = set(group)
@@ -301,13 +319,23 @@ def test_order9_column_groups(name):
 
 def test_roots_are_orbit_least_prefixes():
     f = field_make(7)
-    assert _roots(7, [tuple(f.add(f.mul(c, y), d) for y in range(7))
-                      for c in range(1, 7) for d in range(7)]) == [(0, 1)]
+    assert _roots([tuple(f.add(f.mul(c, y), d) for y in range(7))
+                   for c in range(1, 7) for d in range(7)]) == [(0, 1)]
     units = [c for c in range(1, 12) if gcd(c, 12) == 1]
     z12 = [tuple((c * y + d) % 12 for y in range(12)) for c in units for d in range(12)]
-    assert _roots(12, z12) == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6)]
+    assert _roots(z12) == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 6)]
     identity = [tuple(range(3))]
-    assert _roots(3, identity) == list(itertools.permutations(range(3), 2))
+    assert _roots(identity) == list(itertools.permutations(range(3), 2))
+    # the roots read off the tables are those an orbit marking finds
+    groups = [_group_of(_ag(q), h, v)
+              for q in (3, 4, 5) for h, v in itertools.permutations(range(q + 1), 2)]
+    for n in range(3, 13):
+        units = [c for c in range(1, n) if gcd(c, n) == 1]
+        groups.append([tuple((c * y + d) % n for y in range(n)) for c in units for d in range(n)])
+    for name in AFFINE_FIXTURES:
+        groups.append(_group_of(load_fixture(name), 0, 1))
+    for group in groups:
+        assert _roots(group) == _marked_roots(len(group[0]), group), group[:2]
 
 
 # SHA-256 of json [psi, witnesses] at classes (0, 1) in each mode of MODES
@@ -516,7 +544,10 @@ def test_enumeration_has_q2_q_minus_1_minimizers(q):
 
 
 def _column_only(monkeypatch):
-    monkeypatch.setattr(search, "_row_maps", lambda group: None)
+    # the builder handed the identity as the one row map, as planes hand it
+    real = search._symmetry
+    monkeypatch.setattr(search, "_symmetry",
+                        lambda rows, group: real([tuple(range(len(group[0])))], group))
 
 
 def _outcomes(kind, n, par=None):
@@ -558,16 +589,16 @@ def test_row_maps_agree_at_q13(monkeypatch):
 
 
 def _symmetries(kind, n, monkeypatch):
-    """The row maps (as alpha^-1) and column maps a search of kind over n uses."""
+    """The row maps (as alpha^-1) and column maps a search of kind over n
+    hands to _symmetry."""
     seen = []
-    real = search._row_maps
+    real = search._symmetry
 
-    def spy(group):
-        sym = real(group)
-        seen.append((sym[0], group))
-        return sym
+    def spy(rows, group):
+        seen.append((rows, group))
+        return real(rows, group)
 
-    monkeypatch.setattr(search, "_row_maps", spy)
+    monkeypatch.setattr(search, "_symmetry", spy)
     _search(kind, n, SearchConfig())
     [(rows, group)] = seen
     return rows, group
@@ -627,6 +658,7 @@ NODE_COUNTS = [
     ("zn", 9, "enumerate_all_min", 858, 546),
     ("zn", 10, "min_value", 1552, 1190),
     ("zn", 11, "min_value", 2337, 1902),
+    ("zn", 12, "enumerate_all_min", 20463, 16281),
     ("plane", "ag_2_9", "min_value", 1056, 761),
     ("plane", "ag_2_9", "enumerate_all_min", 1641, 1115),
     ("plane", "hall_translation_deleted", "min_value", 12180, 8830),
@@ -643,7 +675,9 @@ def test_sequential_node_counts(kind, n, mode, nodes, prunes):
     # without the look-ahead bound the kernel expanded 4-10x more (GF(9)
     # 4,257, GF(11) 112,853, Z_9 15,246, Z_11 127,912, ag_2_9 4,460, before
     # the row maps), and without the row maps' lex-leader check 3.5-5.5x more
-    # (GF(9) 922, GF(11) and Z_11 11,551, Z_9 3,129, Z_10 5,519)
+    # (GF(9) 922, GF(11) and Z_11 11,551, Z_9 3,129, Z_10 5,519); Z_12, where
+    # the column group does not act freely on 2-prefixes, keeps the identity
+    # row map, which still cuts there (20,720 nodes without it)
     out = _search(kind, n, SearchConfig(mode=mode))
     assert (out.nodes_expanded, out.prunes) == (nodes, prunes)
 
@@ -722,8 +756,8 @@ def test_shares_merge_in_task_order():
     n = 12
     units = [c for c in range(1, n) if gcd(c, n) == 1]
     group = search._y_affine_group(RingSpec(n), units)
-    roots = _roots(n, group)
-    ctx = (n, _zn_pairs(n), None, 2, roots, 2, 1, "first", search._row_maps(group))
+    rows, least, after, roots, _ = _symmetry(group, group)
+    ctx = (n, _zn_pairs(n), None, 2, roots, 2, 1, "first", (rows, least, after))
     hits = [_run_shares(ctx, [w]) for w in (0, 1)]
     # a witness's task is the one its 4-cell prefix (root and depth 2) heads
     tasks = list(_prefixes(n, roots, 2))
@@ -780,8 +814,9 @@ def stand_in_pool(monkeypatch):
 def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
     # the pair table and the row maps go to each process once, through the
     # pool's initializer, with the share count, the 2-prefix roots, the depth
-    # and the bounds; a job holds only its share indices.  Planes have no
-    # row maps
+    # and the bounds; a job holds only its share indices.  The identity row
+    # map is dropped where the column group acts freely on 2-prefixes: on a
+    # plane, which keeps no row map, and over a field, but not over Z_8
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
@@ -789,12 +824,17 @@ def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
     assert pool.max_workers == len(pool.jobs) == 2
     [(size, pairs, node_limit, count, roots, depth, limit, mode, sym)] = pool.initargs
     assert (count, depth, mode) == (2, 2, "best")
+    rows, least, after = sym
+    assert len(set(rows)) == len(rows)
     if kind == "plane":
-        assert sym is None
+        assert rows == []
+    elif kind == "field":
+        # x -> u*x + b, u nonzero, all but the identity
+        assert len(rows) == n * (n - 1) - 1 and tuple(range(n)) not in rows
     else:
-        rows, least, after = sym
-        # x -> u*x + b, u a unit
-        assert len(set(rows)) == len(rows) == n * sum(gcd(u, n) == 1 for u in range(1, n))
+        # x -> u*x + b, u a unit, the identity too
+        assert len(rows) == n * sum(gcd(u, n) == 1 for u in range(1, n))
+        assert tuple(range(n)) in rows
     assert all(len(root) == 2 for root in roots)
     for j, job in enumerate(pool.jobs):
         assert job == range(j, 2, 2)

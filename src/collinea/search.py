@@ -34,9 +34,12 @@ _run_search searches only under them, in ascending order; min_value,
 lex_least and first_below are exact there.  The roots are (0, 1) over a field
 and (0, g) for each divisor g < n of n over Z_n.
 
-Fields and Z_n are also searched modulo the row maps alpha: x -> u*x + b (u
-nonzero, or a unit mod n), which act by sigma -> sigma o alpha^-1 and keep the
-count: they permute the lines, or scale the determinant by u.  Rows are placed
+Every domain is also searched modulo row maps alpha, which act by
+sigma -> sigma o alpha^-1 and keep the count: over fields and Z_n the maps
+x -> u*x + b (u nonzero, or a unit mod n), which permute the lines or scale
+the determinant by u; over a plane the row group of its grid, the alpha that
+take every line pi to a line pi o alpha^-1.  Row and column maps commute, so
+the group searched is the direct product of the two.  Rows are placed
 in order, so these give no roots but a lex-leader check in the kernel
 (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
 problems", KR 1996): a node is pruned once some alpha, with the beta in G that
@@ -44,9 +47,9 @@ makes its image least, takes the placed prefix lex-below itself.  That never
 prunes the lex-least member of an orbit, the one min_value, lex_least and
 first_below report.  The check is incremental (_lex_step): each alpha waits,
 filed under the row its next comparison needs, and is dropped for the
-subtree once its image compares higher.  Planes pass the identity as their
-one row map, which _symmetry drops, as it does over a field or prime n:
-where G acts freely on 2-prefixes it never cuts.
+subtree once its image compares higher.  _symmetry drops the identity row
+map where G acts freely on 2-prefixes (fields, prime n, planes): there it
+never cuts.
 enumerate_all_min expands the minimizers found by the row maps, then by G,
 drops repeats and sorts.
 
@@ -87,6 +90,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb, gcd, perm
+from operator import itemgetter
 
 from .algebra import RingSpec, field_make
 from .collinear import PermGraph, closed_form_minimizer, count_triples, reciprocal_perm
@@ -558,15 +562,18 @@ def _column_group(perms):
     """The column maps beta (column j -> beta[j]) for which
     (i, j) -> (i, beta[j]) maps every line of perms, given as row -> column
     permutations, onto another: the candidates pi_L o pi_L0^-1 that take
-    every pi_L to another (see the module docstring)."""
+    every pi_L to another (see the module docstring).  Given the inverse
+    lines it yields the row group, since beta o pi^-1 is an inverse line
+    exactly when pi o beta^-1 is a line."""
     lines = set(perms)
     inv0 = [0] * len(perms[0])
     for i, j in enumerate(perms[0]):
         inv0[j] = i
+    images = [itemgetter(*pi) for pi in perms]  # images[k](beta) = beta o perms[k]
     group = []
     for pi in perms:
         beta = tuple([pi[i] for i in inv0])
-        if all(tuple([beta[j] for j in other]) in lines for other in perms):
+        if all(image(beta) in lines for image in images):
             group.append(beta)
     return group
 
@@ -648,5 +655,6 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
     lines = [perm for perms in grid_lines(ap, h_class, v_class) for perm in perms]
     skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
     recount = _plane_recount(ap, h_class, v_class, skip)
-    sym = _symmetry([tuple(range(q))], _column_group(lines))
+    inverse = [tuple(sorted(range(q), key=pi.__getitem__)) for pi in lines]
+    sym = _symmetry(_column_group(inverse), _column_group(lines))
     return _run_search(cfg, q, sym, _line_pairs(q, lines), recount)

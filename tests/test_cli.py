@@ -420,7 +420,7 @@ _PINNED_CALLS = [
     ({}, ("psi", "zn", "6"), 0,
      "36037069c5653ba6e062033acacbfd14b234e41b4b3096dcb7d6a1b43d943ce2"),
     ({}, ("psi", "plane", "ag_2_9"), 0,
-     "fc9da1fdd0753d23db6e82d819813ab3bcc1ad9ce1b7125955bbdda62a638a2d"),
+     "96613cdf304cd082f8c02e558f829469c788e77e147cb96b22bc2c12ac6f19ef"),
     ({}, ("psi", "plane", "ag_2_9", "--all-pairs", "--tsv"), 0,
      "0cf450c2b143ddb81322e0cdc1c2eb9b288ab711545e751d27385f7af6cf38d9"),
     ({}, ("lexleast", "9"), 0,

@@ -10,7 +10,7 @@ import os
 import pickle
 import random
 from dataclasses import replace
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -255,25 +255,44 @@ def _group_of(ap, h, v):
     return _column_group(_lines_of(ap, h, v))
 
 
-def _moves_lines_to_lines(ap, h, v, beta):
-    """Whether (i, j) -> (i, beta[j]) maps every line outside the classes h and
-    v onto a line, checked on raw point sets."""
+def _moves_lines_to_lines(ap, h, v, beta, alpha=None):
+    """Whether (i, j) -> (alpha[i], beta[j]) maps every line outside the
+    classes h and v onto a line, checked on raw point sets; alpha defaults to
+    the identity."""
     grid = plane_grid(ap, h, v)
+    alpha = alpha or range(len(grid))
     cell = {p: (i, j) for i, row in enumerate(grid) for j, p in enumerate(row)}
     lines = {frozenset(ln) for ln in ap.lines}
     skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
-    return all(frozenset(grid[cell[p][0]][beta[cell[p][1]]] for p in ln) in lines
+    return all(frozenset(grid[alpha[cell[p][0]]][beta[cell[p][1]]] for p in ln) in lines
                for li, ln in enumerate(ap.lines) if li not in skip)
 
 
+def _rows_move_lines_to_lines(ap, h, v, alpha):
+    """The row twin: whether (i, j) -> (alpha[i], j) maps every line outside
+    the classes h and v onto a line."""
+    return _moves_lines_to_lines(ap, h, v, range(ap.order), alpha)
+
+
+def _inverse(perm):
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
-def test_column_group_matches_brute_force(q):
+def test_column_group_matches_brute_force(q, monkeypatch):
+    # and the row maps a plane search hands _symmetry, as alpha^-1, are every
+    # alpha for which (i, j) -> (alpha(i), j) maps lines to lines
     ap = _ag(q)
     for h, v in itertools.permutations(range(q + 1), 2):
         brute = [b for b in itertools.permutations(range(q)) if _moves_lines_to_lines(ap, h, v, b)]
         group = _group_of(ap, h, v)
         assert sorted(group) == brute, (h, v)
         assert len(group) == q * (q - 1)
+        rows, _ = _symmetries("ag", (q, h, v), monkeypatch)
+        brute = [a for a in itertools.permutations(range(q))
+                 if _rows_move_lines_to_lines(ap, h, v, a)]
+        assert sorted(rows) == sorted(map(_inverse, brute)), (h, v)
+        assert len(rows) == q * (q - 1)
 
 
 # |G| and root count at the pinned classes (0, 1)
@@ -285,6 +304,18 @@ ORDER9_GROUPS = {
     "dual_hall_generic_deleted": (8, 9),
     "hughes_real_deleted": (6, 12),
     "hughes_generic_deleted": (2, 36),
+}
+
+
+# |R|, the order of the row group, at the pinned classes (0, 1)
+ORDER9_ROW_GROUPS = {
+    "ag_2_9": 72,
+    "hall_translation_deleted": 9,
+    "hall_nontranslation_deleted": 2,
+    "dual_hall_special_deleted": 1,
+    "dual_hall_generic_deleted": 8,
+    "hughes_real_deleted": 6,
+    "hughes_generic_deleted": 1,
 }
 
 
@@ -307,14 +338,19 @@ def _marked_roots(size, group):
 
 
 @pytest.mark.parametrize("name", AFFINE_FIXTURES)
-def test_order9_column_groups(name):
+def test_order9_column_groups(name, monkeypatch):
+    # and the row group, as the rows a plane search hands _symmetry
     ap = load_fixture(name)
     group = _group_of(ap, 0, 1)
     assert (len(group), len(_roots(group))) == ORDER9_GROUPS[name]
-    assert len(set(group)) == len(group)
+    rows, _ = _symmetries("plane", name, monkeypatch)
+    assert len(rows) == ORDER9_ROW_GROUPS[name]
     assert all(_moves_lines_to_lines(ap, 0, 1, b) for b in group)
-    members = set(group)
-    assert all(tuple(a[j] for j in b) in members for a in group for b in group)
+    assert all(_rows_move_lines_to_lines(ap, 0, 1, _inverse(inv)) for inv in rows)
+    for maps in (group, rows):
+        members = set(maps)
+        assert len(members) == len(maps)
+        assert all(tuple(a[j] for j in b) in members for a in maps for b in maps)
 
 
 def test_roots_are_orbit_least_prefixes():
@@ -415,6 +451,20 @@ def _plane_incidence(ap, h, v):
         return any(points <= ln for ln in point_sets)
 
     return _lines_of(ap, h, v), collinear
+
+
+def _transversal_count(ap, h, v):
+    """The triple count of a transversal of the (h, v) grid from the raw
+    point sets of ap.lines: C(m, 3) over the lines holding m of its points
+    (a line of class h or v holds one)."""
+    grid = plane_grid(ap, h, v)
+    point_sets = [set(ln) for ln in ap.lines]
+
+    def count(w):
+        points = {grid[i][j] for i, j in enumerate(w)}
+        return sum(comb(len(points & ln), 3) for ln in point_sets)
+
+    return count
 
 
 @pytest.mark.parametrize("kind, n", [("field", q) for q in (3, 4, 5, 7, 8, 9)]
@@ -538,13 +588,14 @@ def test_enumeration_has_q2_q_minus_1_minimizers(q):
 
 
 # -- the row maps ------------------------------------------------------------
-# Fields and Z_n also search modulo the row maps x -> u*x + b: the kernel
-# prunes a prefix that some row map, with its best column map, takes
-# lex-below itself, which never prunes the lex-least member of an orbit.
+# Every domain also searches modulo its row maps, x -> u*x + b over fields
+# and Z_n and the row group of the grid over a plane: the kernel prunes a
+# prefix that some row map, with its best column map, takes lex-below itself,
+# which never prunes the lex-least member of an orbit.
 
 
 def _column_only(monkeypatch):
-    # the builder handed the identity as the one row map, as planes hand it
+    # the builder handed the identity as the one row map
     real = search._symmetry
     monkeypatch.setattr(search, "_symmetry",
                         lambda rows, group: real([tuple(range(len(group[0])))], group))
@@ -565,8 +616,11 @@ def _outcomes(kind, n, par=None):
     return got
 
 
-@pytest.mark.parametrize("kind, n", [("field", q) for q in (3, 4, 5, 7, 8, 9, 11)]
-                         + [("zn", n) for n in range(3, 13)])
+@pytest.mark.parametrize(
+    "kind, n", [("field", q) for q in (3, 4, 5, 7, 8, 9, 11)] + [("zn", n) for n in range(3, 13)]
+    + [("ag", (q, h, v)) for q in (3, 4, 5) for h, v in ((0, 1), (q, 2))]
+    + [("plane", "hughes_real_deleted")],
+    ids=lambda n: "-".join(map(str, n)) if isinstance(n, tuple) else None)
 def test_row_maps_agree_with_the_column_only_search(kind, n, monkeypatch):
     # the same psi and witnesses as the search modulo the column maps alone,
     # sequentially and at threads 2, depth 2; sequentially never more nodes,
@@ -588,42 +642,56 @@ def test_row_maps_agree_at_q13(monkeypatch):
     assert (fast.psi, fast.nodes_expanded, ref.nodes_expanded) == (6, 22662, 153833)
 
 
+class _Handed(Exception):
+    pass
+
+
 def _symmetries(kind, n, monkeypatch):
     """The row maps (as alpha^-1) and column maps a search of kind over n
-    hands to _symmetry."""
-    seen = []
+    hands to _symmetry; the search stops there."""
     real = search._symmetry
 
     def spy(rows, group):
-        seen.append((rows, group))
-        return real(rows, group)
+        raise _Handed(rows, group)
 
     monkeypatch.setattr(search, "_symmetry", spy)
-    _search(kind, n, SearchConfig())
-    [(rows, group)] = seen
-    return rows, group
+    with pytest.raises(_Handed) as handed:
+        _search(kind, n, SearchConfig())
+    monkeypatch.setattr(search, "_symmetry", real)
+    return handed.value.args
+
+
+# the planes with the largest row groups at classes (0, 1)
+_PLANES = [("plane", name) for name in ("ag_2_9", "hall_translation_deleted",
+                                        "hughes_real_deleted")]
 
 
 @pytest.mark.parametrize("kind, n", [("field", 5), ("field", 8), ("field", 9),
-                                     ("zn", 8), ("zn", 9), ("zn", 12)])
+                                     ("zn", 8), ("zn", 9), ("zn", 12)] + _PLANES)
 def test_row_and_column_maps_keep_the_triple_count(kind, n, monkeypatch):
-    # every sigma -> beta o sigma o alpha^-1, counted by collinear
+    # every sigma -> beta o sigma o alpha^-1, counted by collinear, or over a
+    # plane on the raw point sets
     rows, group = _symmetries(kind, n, monkeypatch)
-    units = n - 1 if kind == "field" else sum(gcd(u, n) == 1 for u in range(1, n))
-    assert len(set(rows)) == len(rows) == len(group) == n * units
-    ctx = field_make(n) if kind == "field" else RingSpec(n)
+    assert len(set(rows)) == len(rows)
+    if kind == "plane":
+        assert (len(rows), len(group)) == (ORDER9_ROW_GROUPS[n], ORDER9_GROUPS[n][0])
+        count, size = _transversal_count(load_fixture(n), 0, 1), 9
+    else:
+        units = n - 1 if kind == "field" else sum(gcd(u, n) == 1 for u in range(1, n))
+        assert len(rows) == len(group) == n * units
+        ctx = field_make(n) if kind == "field" else RingSpec(n)
+        count, size = (lambda w: count_triples(PermGraph(ctx, w))), n
     rng = random.Random(n)
     for _ in range(2):
-        w = tuple(rng.sample(range(n), n))
-        want = count_triples(PermGraph(ctx, w))
+        w = tuple(rng.sample(range(size), size))
+        want = count(w)
         for inv in rows:
             moved = [w[i] for i in inv]
-            assert all(count_triples(PermGraph(ctx, tuple([beta[y] for y in moved]))) == want
-                       for beta in group), (w, inv)
+            assert all(count(tuple([beta[y] for y in moved])) == want for beta in group), (w, inv)
 
 
 @pytest.mark.parametrize("kind, n", [("field", 5), ("field", 7), ("field", 8), ("zn", 6),
-                                     ("zn", 8), ("zn", 9)])
+                                     ("zn", 8), ("zn", 9)] + _PLANES)
 def test_enumeration_keeps_one_minimizer_per_orbit(kind, n, monkeypatch):
     # before the expansion, the kernel has kept exactly the lex-least member
     # of each orbit of minimizers under the row and column maps
@@ -659,10 +727,10 @@ NODE_COUNTS = [
     ("zn", 10, "min_value", 1552, 1190),
     ("zn", 11, "min_value", 2337, 1902),
     ("zn", 12, "enumerate_all_min", 20463, 16281),
-    ("plane", "ag_2_9", "min_value", 1056, 761),
-    ("plane", "ag_2_9", "enumerate_all_min", 1641, 1115),
-    ("plane", "hall_translation_deleted", "min_value", 12180, 8830),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 20730, 13456),
+    ("plane", "ag_2_9", "min_value", 365, 239),
+    ("plane", "ag_2_9", "enumerate_all_min", 460, 281),
+    ("plane", "hall_translation_deleted", "min_value", 3497, 2589),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 5208, 3556),
 ]
 
 
@@ -674,8 +742,10 @@ def test_sequential_node_counts(kind, n, mode, nodes, prunes):
     # would multiply its count by up to |G| (ag_2_9 was 303,380 unreduced);
     # without the look-ahead bound the kernel expanded 4-10x more (GF(9)
     # 4,257, GF(11) 112,853, Z_9 15,246, Z_11 127,912, ag_2_9 4,460, before
-    # the row maps), and without the row maps' lex-leader check 3.5-5.5x more
-    # (GF(9) 922, GF(11) and Z_11 11,551, Z_9 3,129, Z_10 5,519); Z_12, where
+    # the row maps), and without the row maps' lex-leader check 2.9-5.5x more
+    # (GF(9) 922, GF(11) and Z_11 11,551, Z_9 3,129, Z_10 5,519; ag_2_9 1,056
+    # and hall_translation_deleted 12,180, the planes' row groups being of
+    # order 72 and 9); Z_12, where
     # the column group does not act freely on 2-prefixes, keeps the identity
     # row map, which still cuts there (20,720 nodes without it)
     out = _search(kind, n, SearchConfig(mode=mode))
@@ -691,10 +761,10 @@ PARALLEL_COUNTS = [
     ("zn", 9, "min_value", 726, 555),
     ("zn", 9, "enumerate_all_min", 994, 659),
     ("zn", 10, "min_value", 1711, 1431),
-    ("plane", "ag_2_9", "min_value", 1064, 787),
-    ("plane", "ag_2_9", "enumerate_all_min", 1665, 1141),
-    ("plane", "hall_translation_deleted", "min_value", 11885, 8882),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 20454, 13497),
+    ("plane", "ag_2_9", "min_value", 574, 407),
+    ("plane", "ag_2_9", "enumerate_all_min", 673, 438),
+    ("plane", "hall_translation_deleted", "min_value", 3364, 2784),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 5082, 3746),
 ]
 
 
@@ -816,7 +886,7 @@ def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
     # pool's initializer, with the share count, the 2-prefix roots, the depth
     # and the bounds; a job holds only its share indices.  The identity row
     # map is dropped where the column group acts freely on 2-prefixes: on a
-    # plane, which keeps no row map, and over a field, but not over Z_8
+    # plane and over a field, but not over Z_8
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
@@ -827,7 +897,8 @@ def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
     rows, least, after = sym
     assert len(set(rows)) == len(rows)
     if kind == "plane":
-        assert rows == []
+        # the row group of ag_2_9 at classes (0, 1), all but the identity
+        assert len(rows) == 72 - 1 and tuple(range(9)) not in rows
     elif kind == "field":
         # x -> u*x + b, u nonzero, all but the identity
         assert len(rows) == n * (n - 1) - 1 and tuple(range(n)) not in rows

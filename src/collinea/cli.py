@@ -110,6 +110,17 @@ def _int_array(obj, what):
     return obj
 
 
+def _flat_perm(obj, path, context):
+    """The PermGraph of a flat permutation file's JSON array obj, read from
+    path, over the field or ring that context() makes once the array is
+    checked; a ValueError from either becomes a ParseError naming path."""
+    images = _int_array(obj, path)
+    try:
+        return PermGraph(context(), tuple(images))
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from e
+
+
 def _perm_context(args):
     if args.q is not None:
         return field_make(args.q)
@@ -134,8 +145,10 @@ def _load_perm_source(args, digests):
         return reciprocal_perm(f) if args.inv else closed_form_minimizer(f)
     obj = _json_of(_read_file(args.perm_file, digests), args.perm_file)
     if isinstance(obj, dict) and "cells" in obj:
-        data = _read_plane_ref(str(obj.get("plane", "")), digests,
-                               base=os.path.dirname(args.perm_file))
+        ref = obj.get("plane")
+        if not isinstance(ref, str) or not ref:
+            raise ParseError(f"{args.perm_file}: field 'plane' must be a non-empty string")
+        data = _read_plane_ref(ref, digests, base=os.path.dirname(args.perm_file))
         plane = _affine_or_die(load_plane(data), args.cmd_name)
         try:
             h, v = obj["h_class"], obj["v_class"]
@@ -145,11 +158,7 @@ def _load_perm_source(args, digests):
         if not (is_json_int(h) and is_json_int(v)):
             raise ParseError(f"{args.perm_file}: h_class and v_class must be integers")
         return GenPerm(plane, h, v, cells)
-    images = _int_array(obj, args.perm_file)
-    try:
-        return PermGraph(_perm_context(args), tuple(images))
-    except ValueError as e:
-        raise ParseError(f"{args.perm_file}: {e}") from e
+    return _flat_perm(obj, args.perm_file, lambda: _perm_context(args))
 
 
 # -- search plumbing ---------------------------------------------------------
@@ -251,12 +260,8 @@ def cmd_minimizers(args, digests):
 
 
 def cmd_certify(args, digests):
-    obj = _int_array(_json_of(_read_file(args.perm_file, digests), args.perm_file),
-                     args.perm_file)
-    try:
-        perm = PermGraph(field_make(args.q), tuple(obj))
-    except ValueError as e:
-        raise ParseError(f"{args.perm_file}: {e}") from e
+    obj = _json_of(_read_file(args.perm_file, digests), args.perm_file)
+    perm = _flat_perm(obj, args.perm_file, lambda: field_make(args.q))
     bundle = certificate_bundle(perm)
     return {"q": args.q, "perm": list(perm.images), "certificate": bundle}, None, 0
 

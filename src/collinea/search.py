@@ -18,13 +18,13 @@ Every domain is searched modulo a group G of column maps beta, which act on a
 permutation sigma by sigma -> beta o sigma and keep its triple count:
 - fields: y -> c*y + d, c nonzero; (x, y) -> (x, c*y + d) takes lines to lines
 - Z_n: y -> c*y + d, c a unit mod n; the determinant is scaled by c
-- planes: the column group of the (h, v) grid, computed per search
-  (_column_group).  beta must keep every row and map every line outside the
-  two grid classes onto such a line.  Each such line is a row -> column
-  permutation pi_L, so beta = pi_L o pi_L0^-1 for one fixed L0, and each of
-  those q(q-1) candidates is checked against the set of all pi_L.  For
-  AG(2, q) all of them pass at every class pair; the order-9 fixtures at
-  classes (0, 1) have groups of order 1 to 72.
+- planes: the column group of the (h, v) grid, computed per search with
+  its row group (_grid_groups).  beta must keep every row and map every line
+  outside the two grid classes onto such a line.  Each such line is a
+  row -> column permutation pi_L, so beta = pi_L o pi_L0^-1 for one fixed
+  L0, and each of those q(q-1) candidates is checked against the set of all
+  pi_L.  For AG(2, q) all of them pass at every class pair; the order-9
+  fixtures at classes (0, 1) have groups of order 1 to 72.
 The set of permutations below any count is closed under G.  If beta took the
 2-prefix of its lex-first member sigma below the prefix itself, beta o sigma
 would be a smaller member, so sigma lies under an orbit-least 2-prefix (the
@@ -38,9 +38,10 @@ Every domain is also searched modulo row maps alpha, which act by
 sigma -> sigma o alpha^-1 and keep the count: over fields and Z_n the maps
 x -> u*x + b (u nonzero, or a unit mod n), which permute the lines or scale
 the determinant by u; over a plane the row group of its grid, the alpha that
-take every line pi to a line pi o alpha^-1.  Row and column maps commute, so
-the group searched is the direct product of the two.  Rows are placed
-in order, so these give no roots but a lex-leader check in the kernel
+take every line pi to a line pi o alpha^-1, tested with G in one pass.
+Row and column maps commute, so the group searched is the direct product of
+the two.  Rows are placed in order, so these give no roots but a lex-leader
+check in the kernel
 (Crawford, Ginsberg, Luks and Roy, "Symmetry-breaking predicates for search
 problems", KR 1996): a node is pruned once some alpha, with the beta in G that
 makes its image least, takes the placed prefix lex-below itself.  That never
@@ -558,33 +559,35 @@ def _y_affine_group(ctx, scales):
     return [tuple([ctx.add(ctx.mul(c, y), d) for y in els]) for c in scales for d in els]
 
 
-def _column_group(perms):
-    """The column maps beta (column j -> beta[j]) for which
-    (i, j) -> (i, beta[j]) maps every line of perms, given as row -> column
-    permutations, onto another: the candidates pi_L o pi_L0^-1 that take
-    every pi_L to another (see the module docstring).  Given the inverse
-    lines it yields the row group, since beta o pi^-1 is an inverse line
-    exactly when pi o beta^-1 is a line."""
-    lines = set(perms)
-    inv0 = [0] * len(perms[0])
-    for i, j in enumerate(perms[0]):
+def _grid_groups(lines):
+    """The row maps, as the tuples alpha^-1, and the column group of a grid
+    whose lines are the row -> column permutations pi_0, pi_1, ...:
+    beta_a = pi_a o pi_0^-1 is in the group when T[a][b] =
+    pi_a o pi_0^-1 o pi_b is a line for every b, and pi_0^-1 o pi_b is
+    alpha^-1 for a row map when T[a][b] is a line for every a.  A member's
+    row of T is all lines, so the column test reads only the other rows."""
+    members = set(lines)
+    inv0 = [0] * len(lines[0])
+    for i, j in enumerate(lines[0]):
         inv0[j] = i
-    images = [itemgetter(*pi) for pi in perms]  # images[k](beta) = beta o perms[k]
-    group = []
-    for pi in perms:
+    images = [itemgetter(*pi) for pi in lines]  # images[b](beta) = beta o pi_b
+    group, failed = [], []
+    for pi in lines:
         beta = tuple([pi[i] for i in inv0])
-        if all(image(beta) in lines for image in images):
-            group.append(beta)
-    return group
+        (group if all(image(beta) in members for image in images) else failed).append(beta)
+    rows = [image(inv0) for image in images
+            if all(image(beta) in members for beta in failed)]
+    return rows, group
 
 
-def _plane_recount(ap, h_class, v_class, skip):
+def _plane_recount(ap, h_class, v_class):
     """The triple count of a witness of the (h, v) grid from the raw
     incidences: cell (i, j) is the point where h line i meets v line j, found
     by intersecting their point sets rather than read from plane_grid, and a
-    witness counts C(m, 3) on each line outside the classes in skip that holds
-    m of its cells."""
+    witness counts C(m, 3) on each line outside the two classes that holds m
+    of its cells."""
     q = ap.order
+    skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
     through = [[] for _ in range(ap.n_points)]
     for li, ln in enumerate(ap.lines):
         if li not in skip:
@@ -653,8 +656,5 @@ def min_triples_plane(ap, h_class, v_class, cfg=None):
     grid_lines, class after class."""
     q = ap.order
     lines = [perm for perms in grid_lines(ap, h_class, v_class) for perm in perms]
-    skip = set(ap.parallel_classes[h_class]) | set(ap.parallel_classes[v_class])
-    recount = _plane_recount(ap, h_class, v_class, skip)
-    inverse = [tuple(sorted(range(q), key=pi.__getitem__)) for pi in lines]
-    sym = _symmetry(_column_group(inverse), _column_group(lines))
-    return _run_search(cfg, q, sym, _line_pairs(q, lines), recount)
+    sym = _symmetry(*_grid_groups(lines))
+    return _run_search(cfg, q, sym, _line_pairs(q, lines), _plane_recount(ap, h_class, v_class))

@@ -144,6 +144,20 @@ def test_genperm_file_on_a_projective_plane_is_a_usage_error(capsys, tmp_path):
         assert f"{cmd} needs an affine plane" in d["error"]["message"]
 
 
+def test_genperm_file_without_a_plane_name_is_a_parse_error(capsys, tmp_path):
+    # checked before any file is read: an empty name would resolve to the
+    # perm file's own directory
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    f = sub / "gp.json"
+    for plane in ({}, {"plane": ""}, {"plane": None}, {"plane": 9}, {"plane": ["ag3.json"]}):
+        f.write_text(json.dumps({**plane, "h_class": 0, "v_class": 1, "cells": list(range(9))}))
+        for cmd in ("triples", "quadruples"):
+            code, d = run(capsys, cmd, str(f))
+            assert (code, d["error"]["type"]) == (3, "ParseError"), (plane, cmd)
+            assert d["error"]["message"] == f"{f}: field 'plane' must be a non-empty string"
+
+
 def test_bad_perm_files(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     for text in ("not json", '[0, 1, "2"]', "[0, 0, 1]"):
@@ -189,6 +203,21 @@ def test_certify_good_and_bad(capsys, tmp_path):
     code, d = run(capsys, "certify", str(w), "--q", "5")
     assert code == 5
     assert d["error"]["type"] == "CertificateFailure"
+
+
+def test_flat_perm_file_errors_come_before_the_field(capsys, tmp_path):
+    # a file that is no integer array fails first, whatever --q is; an array
+    # that is no bijection fails after the field, naming the file
+    w = tmp_path / "w.json"
+    for cmd in ("certify", "triples"):
+        w.write_text('[0, 1, "2"]')
+        code, d = run(capsys, cmd, str(w), "--q", "6")
+        assert (code, d["error"]["message"]) == (3, f"{w}: expected a JSON array of integers")
+        w.write_text("[0, 0, 1, 2, 3]")
+        code, d = run(capsys, cmd, str(w), "--q", "6")
+        assert (code, d["error"]["type"]) == (3, "NotPrimePower"), cmd
+        code, d = run(capsys, cmd, str(w), "--q", "5")
+        assert (code, d["error"]["message"]) == (3, f"{w}: images are not a bijection on 0..4")
 
 
 def test_certify_even_q_is_an_input_error(capsys, tmp_path):

@@ -32,7 +32,7 @@ from collinea.plane import affine_plane, grid_lines, plane_grid
 from collinea.search import (
     MODES,
     SearchConfig,
-    _column_group,
+    _grid_groups,
     _line_pairs,
     _plane_recount,
     _prefixes,
@@ -252,7 +252,7 @@ def _lines_of(ap, h, v):
 
 
 def _group_of(ap, h, v):
-    return _column_group(_lines_of(ap, h, v))
+    return _grid_groups(_lines_of(ap, h, v))[1]
 
 
 def _moves_lines_to_lines(ap, h, v, beta, alpha=None):
@@ -351,6 +351,27 @@ def test_order9_column_groups(name, monkeypatch):
         members = set(maps)
         assert len(members) == len(maps)
         assert all(tuple(a[j] for j in b) in members for a in maps for b in maps)
+
+
+# SHA-256 of json {name: [[h, v, |G|, |R|] for each ordered class pair]}, as
+# the column groups of each grid's lines and of its inverse lines gave them
+ORDER9_GRID_GROUPS_SHA256 = "7da9209fa0922b5c9a1d65731e7945421c91ee97c444bc426c3f6f12f6dad3d5"
+
+
+def test_order9_groups_of_every_grid():
+    # transposing the (h, v) grid into the (v, h) grid turns its row maps
+    # into column maps, so each grid's row pass is checked against the
+    # column pass of its transpose
+    counts = {}
+    for name in AFFINE_FIXTURES:
+        ap = load_fixture(name)
+        groups = {(h, v): _grid_groups(_lines_of(ap, h, v))
+                  for h, v in itertools.permutations(range(10), 2)}
+        for (h, v), (rows, group) in groups.items():
+            assert set(rows) == set(groups[v, h][1]), (name, h, v)
+        counts[name] = [[h, v, len(group), len(rows)] for (h, v), (rows, group) in groups.items()]
+    blob = json.dumps(counts, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == ORDER9_GRID_GROUPS_SHA256
 
 
 def test_roots_are_orbit_least_prefixes():
@@ -1107,8 +1128,7 @@ def test_plane_recount_matches_the_transversal_count():
     for name in AFFINE_FIXTURES:
         ap = load_fixture(name)
         for h, v in ((0, 1), (1, 0), (3, 7), (9, 2)):
-            skip = set(ap.parallel_classes[h]) | set(ap.parallel_classes[v])
-            recount = _plane_recount(ap, h, v, skip)
+            recount = _plane_recount(ap, h, v)
             for _ in range(15):
                 w = tuple(rng.sample(range(9), 9))
                 gp = transversal_from_bijection(ap, h, v, w)

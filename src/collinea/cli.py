@@ -7,7 +7,11 @@ deterministic apart from the timing fields.  --tsv flattens tabular results
 into tab-separated rows with the manifest in trailing '#' comments.
 
 Plane arguments accept a file path or the name of a bundled fixture
-(e.g. "hall_translation_deleted", with or without ".json").
+(e.g. "hall_translation_deleted", with or without ".json").  Every input
+file, and a --relabeling literal, is parsed by collinea.plane's json_value
+and its integer arrays checked by int_array, so a malformed file is a
+ParseError (exit 3); only a --relabeling literal that is not JSON at all is
+a usage error.
 
 Exit codes: 0 success, 2 usage, 3 unreadable or invalid input (also an
 invalid plane under `plane validate`), 4 node limit exceeded, 5 certificate
@@ -50,8 +54,8 @@ from .errors import (
 )
 from .fixtures import DISTINGUISHED_CLASSES, fixture_bytes, fixture_names
 from .mols import diagonal_witness, load_mols, mols_from_plane, plane_from_mols, save_mols
-from .plane import (AffinePlane, ProjectivePlane, delete_line, is_json_int, load_plane,
-                    save_plane, validate)
+from .plane import (AffinePlane, ProjectivePlane, delete_line, int_array, is_json_int,
+                    json_value, load_plane, save_plane, validate)
 from .repro import CLAIMS, run_claim
 from .search import SearchConfig, min_triples_field, min_triples_plane, min_triples_zn
 
@@ -97,24 +101,11 @@ def _read_plane_ref(ref, digests, base=None):
     return data
 
 
-def _json_of(data, what):
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ParseError(f"{what}: {e}") from e
-
-
-def _int_array(obj, what):
-    if not isinstance(obj, list) or not all(is_json_int(v) for v in obj):
-        raise ParseError(f"{what}: expected a JSON array of integers")
-    return obj
-
-
 def _flat_perm(obj, path, context):
     """The PermGraph of a flat permutation file's JSON array obj, read from
     path, over the field or ring that context() makes once the array is
     checked; a ValueError from either becomes a ParseError naming path."""
-    images = _int_array(obj, path)
+    images = int_array(obj, path)
     try:
         return PermGraph(context(), tuple(images))
     except ValueError as e:
@@ -143,7 +134,7 @@ def _load_perm_source(args, digests):
             raise UsageError("--g/--inv need --q")
         f = field_make(args.q)
         return reciprocal_perm(f) if args.inv else closed_form_minimizer(f)
-    obj = _json_of(_read_file(args.perm_file, digests), args.perm_file)
+    obj = json_value(_read_file(args.perm_file, digests), args.perm_file)
     if isinstance(obj, dict) and "cells" in obj:
         ref = obj.get("plane")
         if not isinstance(ref, str) or not ref:
@@ -152,7 +143,7 @@ def _load_perm_source(args, digests):
         plane = _affine_or_die(load_plane(data), args.cmd_name)
         try:
             h, v = obj["h_class"], obj["v_class"]
-            cells = tuple(_int_array(obj["cells"], "cells"))
+            cells = tuple(int_array(obj["cells"], "cells"))
         except KeyError as e:
             raise ParseError(f"{args.perm_file}: missing field {e}") from e
         if not (is_json_int(h) and is_json_int(v)):
@@ -260,7 +251,7 @@ def cmd_minimizers(args, digests):
 
 
 def cmd_certify(args, digests):
-    obj = _json_of(_read_file(args.perm_file, digests), args.perm_file)
+    obj = json_value(_read_file(args.perm_file, digests), args.perm_file)
     perm = _flat_perm(obj, args.perm_file, lambda: field_make(args.q))
     bundle = certificate_bundle(perm)
     return {"q": args.q, "perm": list(perm.images), "certificate": bundle}, None, 0
@@ -302,14 +293,15 @@ def cmd_mols_diag(args, digests):
     if args.relabeling is None:
         relab = list(range(q))
     elif os.path.exists(args.relabeling):
-        relab = _int_array(_json_of(_read_file(args.relabeling, digests),
-                                    args.relabeling), args.relabeling)
+        relab = int_array(json_value(_read_file(args.relabeling, digests),
+                                     args.relabeling), args.relabeling)
     else:
         try:
-            relab = _int_array(json.loads(args.relabeling), "--relabeling")
-        except json.JSONDecodeError:
+            relab = json_value(args.relabeling, "--relabeling")
+        except ParseError:
             raise UsageError("--relabeling: give a JSON array or a file "
                              "containing one") from None
+        relab = int_array(relab, "--relabeling")
     try:
         hit = diagonal_witness(squares, tuple(relab))
     except ValueError as e:

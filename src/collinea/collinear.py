@@ -243,7 +243,10 @@ def recognize_fractional(perm):
 
 def transversal_from_bijection(plane, h_class, v_class, pi):
     """GenPerm whose i-th chosen point is the cell (i, pi[i]) of plane_grid,
-    where h line i meets v line pi[i]; every bijection pi gives one."""
+    where h line i meets v line pi[i]; every bijection pi on 0..q-1 gives
+    one, and any other pi is a ValueError."""
     grid = plane_grid(plane, h_class, v_class)
+    if sorted(pi) != list(range(plane.order)):
+        raise ValueError(f"pi is not a bijection on 0..{plane.order - 1}")
     cells = [grid[i][j] for i, j in enumerate(pi)]
     return GenPerm(plane, h_class, v_class, cells, grid)

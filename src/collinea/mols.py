@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import IncompleteSet, NotOrthogonal, OrderMismatch, ParseError
-from .plane import AffinePlane, grid_lines, is_json_int, load_json_object
+from .plane import AffinePlane, grid_lines, int_arrays, load_json_object
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,8 @@ def load_mols(data):
         raise ParseError("squares must be an array")
     out = []
     for idx, sq in enumerate(obj["squares"]):
-        if not isinstance(sq, list) or not all(
-            isinstance(r, list) and all(is_json_int(v) for v in r) for r in sq
-        ):
-            raise ParseError(f"square {idx} must be an array of integer arrays")
         try:
-            out.append(LatinSquare(order, tuple(tuple(r) for r in sq)))
+            out.append(LatinSquare(order, int_arrays(sq, f"square {idx}")))
         except ValueError as e:
             raise ParseError(f"square {idx}: {e}") from e
     return out

@@ -4,9 +4,16 @@ Desarguesian planes are built from a FieldSpec; anything else (the order-9
 fixtures) enters through the JSON loader, which validates the plane axioms
 before handing the structure to the rest of the toolkit.  All indexing is
 deterministic so downstream search witnesses are reproducible byte-for-byte.
+
+The input grammar of every JSON file the toolkit reads (planes, MOLS sets,
+permutations, relabelings) lives here too: json_value decodes and parses,
+and int_array and int_arrays check the integer arrays, where JSON true and
+false are not integers.  Each failure is a ParseError, prefixed by the
+caller's name for the input: a file path, a field, or "not valid JSON".
 """
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import ClassesNotDistinct, NoSuchLine, NotAPlane, ParseError
@@ -86,8 +93,8 @@ def delete_line(pp, line_index):
     """Affine restriction of pp: drop the chosen line and its points.
 
     Surviving points are renumbered in ascending old order; surviving lines
-    keep their relative order; parallel classes group lines by the deleted
-    point they used to pass through.  An index outside the lines raises
+    keep their relative order; parallel_classes groups them, so lines that
+    met at a deleted point share a class.  An index outside the lines raises
     NoSuchLine, an IndexError."""
     q = pp.order
     if not 0 <= line_index < len(pp.lines):
@@ -96,27 +103,21 @@ def delete_line(pp, line_index):
     keep = [p for p in range(pp.n_points) if p not in removed]
     new_index = {p: i for i, p in enumerate(keep)}
     lines = []
-    meets = []  # deleted point each survivor passed through
     labels = {}
     for i, ln in enumerate(pp.lines):
         if i == line_index:
             continue
-        hit = [p for p in ln if p in removed]
-        if len(hit) != 1:
-            raise NotAPlane(f"line {i} meets the deleted line in {len(hit)} points")
-        meets.append(hit[0])
+        hit = sum(p in removed for p in ln)
+        if hit != 1:
+            raise NotAPlane(f"line {i} meets the deleted line in {hit} points")
         if i in pp.labels:
             labels[len(lines)] = pp.labels[i]
         lines.append(tuple(sorted(new_index[p] for p in ln if p not in removed)))
-    by_point = {}
-    for j, m in enumerate(meets):
-        by_point.setdefault(m, []).append(j)
-    classes = tuple(tuple(v) for v in sorted(by_point.values(), key=lambda v: v[0]))
     note = f"deleted line {line_index}"
     if line_index in pp.labels:
         note += f" ({pp.labels[line_index]})"
     prov = (pp.provenance + "; " if pp.provenance else "") + note
-    return AffinePlane(q, tuple(lines), classes, labels, prov)
+    return AffinePlane(q, tuple(lines), parallel_classes(lines, q), labels, prov)
 
 
 def parallel_classes(lines, q):
@@ -314,24 +315,44 @@ def is_json_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def json_value(data, what):
+    """The value of a JSON text given as str or UTF-8 bytes.  Bytes that are
+    not UTF-8, malformed JSON, an integer too long to convert and nesting too
+    deep to parse are each a ParseError prefixed by what."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        return json.loads(data)
+    except (ValueError, RecursionError) as e:  # ValueError covers the decode errors
+        raise ParseError(f"{what}: {e}") from e
+
+
+def int_array(value, what):
+    """value, if it is an array of JSON integers; else a ParseError naming what."""
+    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
+        raise ParseError(f"{what}: expected a JSON array of integers")
+    return value
+
+
+def int_arrays(value, what):
+    """value, if it is an array of arrays of JSON integers; else a ParseError
+    naming what."""
+    if not isinstance(value, list) or not all(
+            isinstance(a, list) and all(is_json_int(v) for v in a) for a in value):
+        raise ParseError(f"{what} must be an array of integer arrays")
+    return value
+
+
 def load_json_object(data, keys):
     """The top-level object of a JSON interchange file (str or UTF-8 bytes),
     checked to have every field in keys and an integer order >= 2."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(str(e)) from e
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"not valid JSON: {e}") from e
+    obj = json_value(data, "not valid JSON")
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
     for key in keys:
         if key not in obj:
             raise ParseError(f"missing field {key!r}")
-    if not isinstance(obj["order"], int) or obj["order"] < 2:
+    if not is_json_int(obj["order"]) or obj["order"] < 2:
         raise ParseError("order must be an integer >= 2")
     return obj
 
@@ -346,13 +367,7 @@ def load_plane(data, strict=True):
     if kind not in ("affine", "projective"):
         raise ParseError(f"unknown plane type {kind!r}")
     order = obj["order"]
-    if not isinstance(obj["lines"], list):
-        raise ParseError("lines must be an array")
-    lines = []
-    for ln in obj["lines"]:
-        if not isinstance(ln, list) or not all(is_json_int(p) for p in ln):
-            raise ParseError("each line must be an array of integers")
-        lines.append(tuple(sorted(ln)))
+    lines = [tuple(sorted(ln)) for ln in int_arrays(obj["lines"], "lines")]
     n_expect = order * order + (order + 1 if kind == "projective" else 0)
     if not is_json_int(obj["points"]):
         raise ParseError("points must be an integer")
@@ -361,21 +376,21 @@ def load_plane(data, strict=True):
     tags = obj.get("labels", {})
     if not isinstance(tags, dict):
         raise ParseError("labels must be an object")
+    n_lines = order * order + order + (kind == "projective")
     labels = {}
     for k, v in tags.items():
-        try:
-            labels[int(k)] = str(v)
-        except ValueError as e:
-            raise ParseError(f"label key {k!r} is not a line index") from e
+        # an index the declared plane has, written as save_plane writes it
+        # (18 digits outnumber any file's lines); a line missing from a short
+        # file is a line-count fault for validate to report
+        if not re.fullmatch("0|[1-9][0-9]{0,17}", k) or int(k) >= n_lines:
+            raise ParseError(f"label key {k!r} is not a line index")
+        labels[int(k)] = str(v)
     prov = str(obj.get("provenance", ""))
     if kind == "projective":
         plane = ProjectivePlane(order, tuple(lines), labels, prov)
     else:
         if "parallel_classes" in obj:
-            classes = obj["parallel_classes"]
-            if not isinstance(classes, list) or not all(
-                    isinstance(c, list) and all(is_json_int(j) for j in c) for c in classes):
-                raise ParseError("parallel_classes must be an array of integer arrays")
+            classes = int_arrays(obj["parallel_classes"], "parallel_classes")
             classes = tuple(tuple(c) for c in classes)
         else:
             classes = parallel_classes(lines, order)

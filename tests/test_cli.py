@@ -349,7 +349,7 @@ def test_hostile_plane_files_fail_cleanly(capsys, tmp_path):
     obj = json.loads(save_plane(affine_plane(field_make(3))))
     bad = tmp_path / "bad.json"
     for key, value in (("parallel_classes", 5), ("parallel_classes", [[0, "a"]]),
-                       ("labels", [1, 2])):
+                       ("labels", [1, 2]), ("labels", {"1_0": "read as line 10"})):
         bad.write_text(json.dumps({**obj, key: value}))
         for argv in (("plane", "info"), ("plane", "validate"), ("psi", "plane")):
             code, d = run(capsys, *argv, str(bad))
@@ -373,6 +373,59 @@ def test_booleans_and_fractions_are_not_integers(capsys, tmp_path):
                                    "cells": list(gp.cells)}))
         code, d = run(capsys, "triples", str(bad))
         assert (code, d["error"]["type"]) == (3, "ParseError"), (h, v)
+
+
+def _door(kind, tmp_path, v):
+    """argv of a command that reads a file of the given kind, and the path of
+    that file, in which one integer that should be 0 is v."""
+    squares = [[[(i + j) % 3 for j in range(3)] for i in range(3)],
+               [[(2 * i + j) % 3 for j in range(3)] for i in range(3)]]
+    f = tmp_path / f"{kind}.json"
+    if kind == "plane":
+        obj = json.loads(save_plane(affine_plane(field_make(3))))
+        obj["lines"][0][0] = v
+        argv = ("plane", "info", str(f))
+    elif kind == "mols":
+        squares[0][0][0] = v
+        obj = {"order": 3, "squares": squares}
+        argv = ("mols", "to-plane", str(f))
+    elif kind == "perm":
+        obj = [v, 1, 2, 3, 4]
+        argv = ("triples", str(f), "--q", "5")
+    elif kind == "cells":
+        ap = affine_plane(field_make(3))
+        (tmp_path / "ag3.json").write_bytes(save_plane(ap))
+        cells = list(transversal_from_bijection(ap, 0, 1, (0, 1, 2)).cells)
+        obj = {"plane": "ag3.json", "h_class": 0, "v_class": 1, "cells": [v] + cells[1:]}
+        argv = ("triples", str(f))
+    else:
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps({"order": 3, "squares": squares}))
+        obj = [v, 1, 2]
+        argv = ("mols", "diag-witness", str(mf), "--relabeling", str(f))
+    f.write_text(json.dumps(obj))
+    return argv, f
+
+
+@pytest.mark.parametrize("kind", ["plane", "mols", "perm", "cells", "relabeling"])
+def test_every_input_file_rejects_bad_bytes_and_non_integers(capsys, tmp_path, kind):
+    argv, _ = _door(kind, tmp_path, 0)
+    assert run(capsys, *argv)[0] == 0, kind
+    for bad in (b"\xff", True, 1.5):
+        argv, f = _door(kind, tmp_path, 0 if isinstance(bad, bytes) else bad)
+        if isinstance(bad, bytes):
+            f.write_bytes(bad + f.read_bytes())
+        code, d = run(capsys, *argv)
+        assert (code, d["error"]["type"]) == (3, "ParseError"), (kind, bad)
+
+
+def test_relabeling_literal_errors(capsys, tmp_path):
+    # not JSON is a usage error; JSON that is no integer array is bad input
+    argv, _ = _door("relabeling", tmp_path, 0)
+    for literal, code, kind in (("[0,", 2, "UsageError"), ("[true, 1, 2]", 3, "ParseError"),
+                                ("[0, 1.5, 2]", 3, "ParseError")):
+        got = run(capsys, *argv[:3], "--relabeling", literal)
+        assert (got[0], got[1]["error"]["type"]) == (code, kind), literal
 
 
 def test_plane_delete_line_index_out_of_range(capsys, tmp_path):

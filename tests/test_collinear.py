@@ -270,6 +270,14 @@ def test_genperm_validation():
         GenPerm(pl, 3, 0, (0, 3, 6))  # all three on the same horizontal line
 
 
+def test_transversal_from_bijection_rejects_a_non_bijection():
+    # a negative entry would index the grid from the end, a large one past it
+    pl = affine_plane(field_make(3))
+    for pi in ((-1, 0, 1), (0, 1, 3), (0, 0, 1), (0, 1), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="bijection"):
+            transversal_from_bijection(pl, 0, 1, pi)
+
+
 def test_transversal_from_bijection_random():
     rng = random.Random(77)
     pl = affine_plane(field_make(5))

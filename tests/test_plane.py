@@ -1,6 +1,7 @@
 """Plane constructions checked against independent pair-coverage oracles,
 plus serialization round-trips."""
 
+import hashlib
 import itertools
 import json
 import signal
@@ -12,6 +13,7 @@ import pytest
 
 from collinea.algebra import field_make
 from collinea.errors import NotAPlane, ParseError
+from collinea.fixtures import PROJECTIVE_FIXTURES, load_fixture
 from collinea.plane import (
     AffinePlane,
     ProjectivePlane,
@@ -106,6 +108,18 @@ def test_delete_any_line_gives_affine():
     for bad in (13, -1):
         with pytest.raises(IndexError):
             delete_line(pp, bad)
+
+
+def test_delete_line_output_is_pinned():
+    # every deletion of every projective fixture, serialized: lines, classes
+    # in order, labels and provenance (SHA-256 taken before delete_line's
+    # classes came from parallel_classes)
+    h = hashlib.sha256()
+    for name in PROJECTIVE_FIXTURES:
+        pp = load_fixture(name)
+        for i in range(len(pp.lines)):
+            h.update(save_plane(delete_line(pp, i)))
+    assert h.hexdigest() == "9e938e10e704ebc56bb126441818d172cf0905d49e79718197495de5f609101b"
 
 
 def test_delete_line_keeps_labels():
@@ -275,6 +289,31 @@ def test_load_rejects_schema_problems():
     obj["points"] = 9.0
     with pytest.raises(ParseError, match="points"):
         load_plane(json.dumps(obj))
+
+
+@pytest.mark.parametrize("key", ["1_0", " 3", "-1", "99", "03", "12", "", "x", "1" * 5000])
+def test_load_rejects_label_keys_that_are_not_line_indices(key):
+    obj = json.loads(save_plane(affine_plane(field_make(3))))
+    obj["labels"] = {"0": "kept", key: "stray"}
+    for strict in (True, False):
+        with pytest.raises(ParseError, match="is not a line index"):
+            load_plane(json.dumps(obj), strict=strict)
+    obj["labels"] = {"0": "first", "11": "last"}
+    assert load_plane(json.dumps(obj)).labels == {0: "first", 11: "last"}
+    # a label on a line the file lacks is the line count's fault, reported by
+    # validate, not a parse error
+    obj["lines"].pop()
+    del obj["parallel_classes"]
+    plane = load_plane(json.dumps(obj), strict=False)
+    assert validate(plane).failures[0] == "line count 11, expected 12"
+
+
+def test_load_reads_hostile_json_as_a_parse_error():
+    # deep nesting and an integer too long to convert fail inside the JSON
+    # parser, not as a RecursionError or a bare ValueError
+    for data in (b"[" * 100000, b'{"order": ' + b"1" * 5000 + b"}", b'{"type": "\xff"}'):
+        with pytest.raises(ParseError, match="not valid JSON"):
+            load_plane(data)
 
 
 def test_dual_plane_involution():

@@ -10,8 +10,8 @@ Plane arguments accept a file path or the name of a bundled fixture
 (e.g. "hall_translation_deleted", with or without ".json").  Every input
 file, and a --relabeling literal, is parsed by collinea.plane's json_value
 and its integer arrays checked by int_array, so a malformed file is a
-ParseError (exit 3); only a --relabeling literal that is not JSON at all is
-a usage error.
+ParseError (exit 3) whose message names the file (and the field at
+fault); only a --relabeling literal that is not JSON at all is a usage error.
 
 Exit codes: 0 success, 2 usage, 3 unreadable or invalid input (also an
 invalid plane under `plane validate`), 4 node limit exceeded, 5 certificate
@@ -80,25 +80,35 @@ def _read_file(path, digests):
     return data
 
 
-def _read_plane_ref(ref, digests, base=None):
-    """A plane reference is a path if one exists, else a fixture name."""
+def _parsed(name, loader, data, **kw):
+    """loader(data), with a ParseError's message prefixed by the file's name."""
+    try:
+        return loader(data, **kw)
+    except ParseError as e:
+        raise ParseError(f"{name}: {e}") from e
+
+
+def _load_plane_ref(ref, digests, base=None, strict=True):
+    """The plane at ref: a path if one exists, else a fixture name."""
     cands = [ref]
     if base and not os.path.isabs(ref):
         cands.append(os.path.join(base, ref))
     for c in cands:
         if os.path.exists(c):
-            return _read_file(c, digests)
-    name = os.path.basename(ref)
-    if name.endswith(".json"):
-        name = name[:-5]
-    try:
-        data = fixture_bytes(name)
-    except KeyError:
-        raise ParseError(
-            f"{ref}: no such file, and no bundled fixture named {name!r} "
-            f"(have: {', '.join(fixture_names())})") from None
-    digests["fixture:" + name] = hashlib.sha256(data).hexdigest()
-    return data
+            data = _read_file(c, digests)
+            break
+    else:
+        name = os.path.basename(ref)
+        if name.endswith(".json"):
+            name = name[:-5]
+        try:
+            data = fixture_bytes(name)
+        except KeyError:
+            raise ParseError(
+                f"{ref}: no such file, and no bundled fixture named {name!r} "
+                f"(have: {', '.join(fixture_names())})") from None
+        digests["fixture:" + name] = hashlib.sha256(data).hexdigest()
+    return _parsed(ref, load_plane, data, strict=strict)
 
 
 def _flat_perm(obj, path, context):
@@ -139,11 +149,11 @@ def _load_perm_source(args, digests):
         ref = obj.get("plane")
         if not isinstance(ref, str) or not ref:
             raise ParseError(f"{args.perm_file}: field 'plane' must be a non-empty string")
-        data = _read_plane_ref(ref, digests, base=os.path.dirname(args.perm_file))
-        plane = _affine_or_die(load_plane(data), args.cmd_name)
+        plane = _affine_or_die(_load_plane_ref(ref, digests, os.path.dirname(args.perm_file)),
+                               args.cmd_name)
         try:
             h, v = obj["h_class"], obj["v_class"]
-            cells = tuple(int_array(obj["cells"], "cells"))
+            cells = tuple(int_array(obj["cells"], f"{args.perm_file}: cells"))
         except KeyError as e:
             raise ParseError(f"{args.perm_file}: missing field {e}") from e
         if not (is_json_int(h) and is_json_int(v)):
@@ -206,7 +216,7 @@ def cmd_psi_zn(args, digests):
 
 def cmd_psi_plane(args, digests):
     cfg = _cfg(args)
-    ap = _affine_or_die(load_plane(_read_plane_ref(args.plane, digests)), "psi plane")
+    ap = _affine_or_die(_load_plane_ref(args.plane, digests), "psi plane")
     if args.all_pairs:
         if args.h is not None or args.v is not None:
             raise UsageError("--all-pairs excludes --h/--v")
@@ -268,8 +278,7 @@ def _artifact(res, args, key, obj):
 
 
 def cmd_mols_from_plane(args, digests):
-    ap = _affine_or_die(load_plane(_read_plane_ref(args.plane, digests)),
-                        "mols from-plane")
+    ap = _affine_or_die(_load_plane_ref(args.plane, digests), "mols from-plane")
     h = args.h if args.h is not None else DISTINGUISHED_CLASSES[0]
     v = args.v if args.v is not None else DISTINGUISHED_CLASSES[1]
     squares = mols_from_plane(ap, h, v)
@@ -279,14 +288,14 @@ def cmd_mols_from_plane(args, digests):
 
 
 def cmd_mols_to_plane(args, digests):
-    squares = load_mols(_read_file(args.mols_file, digests))
+    squares = _parsed(args.mols_file, load_mols, _read_file(args.mols_file, digests))
     ap = plane_from_mols(squares)
     res = {"order": ap.order, "points": ap.n_points, "lines": len(ap.lines)}
     return _artifact(res, args, "plane", json.loads(save_plane(ap))), None, 0
 
 
 def cmd_mols_diag(args, digests):
-    squares = load_mols(_read_file(args.mols_file, digests))
+    squares = _parsed(args.mols_file, load_mols, _read_file(args.mols_file, digests))
     if not squares:
         raise IncompleteSet("no squares given")
     q = squares[0].order
@@ -316,7 +325,7 @@ def cmd_mols_diag(args, digests):
 
 
 def cmd_plane_validate(args, digests):
-    pl = load_plane(_read_plane_ref(args.plane, digests), strict=False)
+    pl = _load_plane_ref(args.plane, digests, strict=False)
     rep = validate(pl)
     res = {"type": "projective" if isinstance(pl, ProjectivePlane) else "affine",
            "order": pl.order, "ok": rep.ok, "failures": list(rep.failures)}
@@ -324,7 +333,7 @@ def cmd_plane_validate(args, digests):
 
 
 def cmd_plane_delete(args, digests):
-    pl = load_plane(_read_plane_ref(args.plane, digests))
+    pl = _load_plane_ref(args.plane, digests)
     if not isinstance(pl, ProjectivePlane):
         raise UsageError("delete-line needs a projective plane")
     ap = delete_line(pl, args.index)
@@ -333,7 +342,7 @@ def cmd_plane_delete(args, digests):
 
 
 def cmd_plane_info(args, digests):
-    pl = load_plane(_read_plane_ref(args.plane, digests))
+    pl = _load_plane_ref(args.plane, digests)
     res = {"type": "projective" if isinstance(pl, ProjectivePlane) else "affine",
            "order": pl.order, "points": pl.n_points, "lines": len(pl.lines),
            "labels": {str(k): v for k, v in sorted(pl.labels.items())},

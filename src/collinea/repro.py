@@ -4,16 +4,20 @@ Each claim re-derives one published-quality statement from scratch: minimum
 triple counts over small fields, the fractional form of every minimizer, the
 covered-line count and certificate of the lifted graphs, the char-2 zero
 construction, the seven order-9 planes, the composite-modulus table, and the
-cross-checking property suite.  `run_claim(i)` returns a JSON-ready dict with
+cross-checks of claim 10.  `run_claim(i)` returns a JSON-ready dict with
 "ok", "expected", "observed" and wall time; results are deterministic apart
 from the elapsed field.
 
 Claims 1-6 share one search per field order: the sorted enumeration of
 every minimizer, cached per process.  Claim 1 reads psi off it, claim 2 the
 lex-least minimizer (its first witness), and claims 3-6 the full list.
+
+Claim 10 checks the plane axioms of AG(2, q) and of every bundled fixture,
+the MOLS round trip and orthogonality, that the plane search over AG(2, q)
+at classes (q, 0) finds the field search's psi and lex-least witness for
+q = 3, 5, 7, and that a parallel GF(7) search agrees with the sequential one.
 """
 
-import random
 import time
 from functools import cache
 
@@ -27,10 +31,8 @@ from .collinear import (
     count_triples,
     fractional_family,
     fractional_perm,
-    list_triples,
     reciprocal_perm,
     recognize_fractional,
-    transversal_from_bijection,
 )
 from .errors import CertificateFailure, UsageError
 from .fixtures import (
@@ -192,8 +194,9 @@ def _claim_8():
     observed = {name: min_triples_plane(ap, *DISTINGUISHED_CLASSES).psi
                 if reports[name].ok else reports[name].failures[0]
                 for name, ap in planes.items()}
-    return _claim(8, "order-9 plane minima: 4 everywhere, 5 for the deleted "
-                     "translation line", expected, observed, observed == expected)
+    return _claim(8, "order-9 plane minima at the pinned class pair (0, 1): 4 "
+                     "everywhere, 5 for the deleted translation line",
+                  expected, observed, observed == expected)
 
 
 # Catalogued minima for composite moduli.  The reference table (OEIS A379299)
@@ -215,21 +218,9 @@ def _claim_9():
 def _claim_10():
     checks = {}
 
-    rng = random.Random(20260822)
-    agree = True
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-        f = field_make(q)
-        base = list(range(q))
-        for _ in range(500):
-            rng.shuffle(base)
-            pg = PermGraph(f, tuple(base))
-            if count_triples(pg) != len(list_triples(pg)):
-                agree = False
-    checks["bucketed_vs_naive_counts"] = agree
-
     axioms = all(validate(affine_plane(field_make(q))).ok
                  for q in (2, 3, 4, 5, 7, 8, 9))
-    fixtures, reports = _load_fixtures(fixture_names())
+    _, reports = _load_fixtures(fixture_names())
     axioms = axioms and all(report.ok for report in reports.values())
     checks["plane_axioms"] = axioms
 
@@ -245,18 +236,12 @@ def _claim_10():
             {frozenset(ln) for ln in back.lines} == {frozenset(ln) for ln in ap.lines})
     checks["mols_round_trip_and_orthogonality"] = mols_ok
 
-    positive = True
-    planes = [affine_plane(field_make(q)) for q in (3, 5, 7)]
-    planes += [fixtures[n] for n in AFFINE_FIXTURES if reports[n].ok]
-    for ap in planes:
-        h, v = (ap.order, 0) if ap.order != 9 else DISTINGUISHED_CLASSES
-        pi = list(range(ap.order))
-        for _ in range(1000):
-            rng.shuffle(pi)
-            gp = transversal_from_bijection(ap, h, v, tuple(pi))
-            if count_triples(gp) < 1:
-                positive = False
-    checks["sampled_transversal_positivity"] = positive
+    same = True
+    for q in (3, 5, 7):
+        want = field_outcome(q)
+        got = min_triples_plane(affine_plane(field_make(q)), q, 0)
+        same = same and (got.psi, got.witnesses[0]) == (want.psi, want.witnesses[0])
+    checks["affine_plane_search_matches_field_search"] = same
 
     f7 = field_make(7)
     seq = min_triples_field(f7, SearchConfig())

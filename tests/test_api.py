@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "collinea"
-CALLERS = ("src", "tools", "demos", "perfbench")
+CALLERS = ("src", "tools", "perfbench")
 
 
 def _exported():

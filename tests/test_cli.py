@@ -419,6 +419,22 @@ def test_every_input_file_rejects_bad_bytes_and_non_integers(capsys, tmp_path, k
         assert (code, d["error"]["type"]) == (3, "ParseError"), (kind, bad)
 
 
+def test_plane_mols_and_cells_parse_errors_name_the_file(capsys, tmp_path):
+    codec = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    for kind, fault in (("plane", "lines must be an array of integer arrays"),
+                        ("mols", "square 0 must be an array of integer arrays")):
+        argv, f = _door(kind, tmp_path, 0)
+        f.write_bytes(b"\xff" + f.read_bytes())
+        code, d = run(capsys, *argv)
+        assert (code, d["error"]["message"]) == (3, f"{f}: not valid JSON: {codec}"), kind
+        argv, f = _door(kind, tmp_path, True)
+        code, d = run(capsys, *argv)
+        assert (code, d["error"]["message"]) == (3, f"{f}: {fault}"), kind
+    argv, f = _door("cells", tmp_path, True)
+    code, d = run(capsys, *argv)
+    assert (code, d["error"]["message"]) == (3, f"{f}: cells: expected a JSON array of integers")
+
+
 def test_relabeling_literal_errors(capsys, tmp_path):
     # not JSON is a usage error; JSON that is no integer array is bad input
     argv, _ = _door("relabeling", tmp_path, 0)

@@ -77,7 +77,7 @@ def test_permgraph_rejects_non_bijection():
         PermGraph(RingSpec(4), (0, 1, 2))
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_bucket_count_matches_naive_oracle(q):
     rng = random.Random(4000 + q)
     f = field_make(q)

@@ -75,4 +75,4 @@ def test_claims_8_and_10_report_a_broken_affine_fixture(monkeypatch):
     out = repro.run_claim(10)
     assert out["ok"] is False
     assert out["observed"]["plane_axioms"] is False
-    assert out["observed"]["sampled_transversal_positivity"] is True
+    assert out["observed"]["affine_plane_search_matches_field_search"] is True

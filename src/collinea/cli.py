@@ -3,8 +3,7 @@
 Every command prints one JSON object on stdout and attaches a run manifest
 (command, argument vector, configuration hash, toolkit version, SHA-256 of
 each input file, wall time) so runs can be diffed and replayed; outputs are
-deterministic apart from the timing fields.  --tsv flattens tabular results
-into tab-separated rows with the manifest in trailing '#' comments.
+deterministic apart from the timing fields.
 
 Plane arguments accept a file path or the name of a bundled fixture
 (e.g. "hall_translation_deleted", with or without ".json").  Every input
@@ -16,11 +15,10 @@ fault); only a --relabeling literal that is not JSON at all is a usage error.
 Exit codes: 0 success, 2 usage, 3 unreadable or invalid input (also an
 invalid plane under `plane validate`), 4 node limit exceeded, 5 certificate
 failure.  `repro` exits 0 whether or not the claim holds; check the "ok"
-field.  COLLINEA_THREADS sets the default worker count.
+field.
 
-Search results are shaped here, from each SearchOutcome; `lexleast` is
-`psi field` in mode lex_least, and `triples` and `quadruples` share one
-handler.
+Search results are shaped here, from each SearchOutcome; `triples` and
+`quadruples` share one handler.
 """
 
 import argparse
@@ -366,41 +364,6 @@ def cmd_repro(args, digests):
 # -- output ------------------------------------------------------------------
 
 
-def _cell(v):
-    if isinstance(v, (list, dict)):
-        return json.dumps(v, separators=(",", ":"))
-    return str(v)
-
-
-def _tsv_lines(res):
-    # one key\tvalue row per scalar; the first list-of-objects value becomes
-    # a header + rows table at the end
-    table = None
-    lines = []
-    for k, v in res.items():
-        if table is None and isinstance(v, list) and v and all(
-                isinstance(e, dict) for e in v):
-            table = v
-            continue
-        lines.append(f"{k}\t{_cell(v)}")
-    if table is not None:
-        cols = list(table[0].keys())
-        lines.append("\t".join(cols))
-        for row in table:
-            lines.append("\t".join(_cell(row.get(c)) for c in cols))
-    return lines
-
-
-def _emit(res, manifest, tsv):
-    if tsv:
-        for line in _tsv_lines(res):
-            print(line)
-        for k, v in manifest.items():
-            print(f"# {k}: {_cell(v)}")
-    else:
-        print(json.dumps({**res, "manifest": manifest}, indent=1))
-
-
 def _manifest(command, argv, cfg, digests, t0):
     blob = json.dumps(_config_json(cfg), sort_keys=True).encode()
     return {"command": command, "arguments": list(argv),
@@ -414,12 +377,9 @@ def _manifest(command, argv, cfg, digests, t0):
 
 
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--tsv", action="store_true",
-                        help="tab-separated output instead of JSON")
     search = _Parser(add_help=False)
     search.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: COLLINEA_THREADS or all cores)")
+                        help="worker count (default: all cores)")
     search.add_argument("--parallel-depth", type=int, default=0,
                         help="split the search tree at this prefix depth (0 = sequential)")
     search.add_argument("--node-limit", type=int, default=None,
@@ -436,15 +396,15 @@ def build_parser():
 
     psi = sub.add_parser("psi", help="minimum triple count of a structure")
     psis = psi.add_subparsers(metavar="WHAT")
-    sp = psis.add_parser("field", parents=[common, search],
+    sp = psis.add_parser("field", parents=[search],
                          help="minimum over all permutations of GF(q)")
     sp.add_argument("q", type=int)
     sp.set_defaults(func=cmd_psi_field, cmd_name="psi field")
-    sp = psis.add_parser("zn", parents=[common, search],
+    sp = psis.add_parser("zn", parents=[search],
                          help="minimum over all permutations of Z_n")
     sp.add_argument("n", type=int)
     sp.set_defaults(func=cmd_psi_zn, cmd_name="psi zn")
-    sp = psis.add_parser("plane", parents=[common, search],
+    sp = psis.add_parser("plane", parents=[search],
                          help="minimum over transversals of an affine plane")
     sp.add_argument("plane", help="plane file or bundled fixture name")
     sp.add_argument("--h", type=int, default=None, metavar="I",
@@ -456,8 +416,7 @@ def build_parser():
     sp.set_defaults(func=cmd_psi_plane, cmd_name="psi plane")
 
     for name, counter in (("triples", count_triples), ("quadruples", count_quadruples)):
-        sp = sub.add_parser(name, parents=[common],
-                            help=f"count collinear {name} of one permutation")
+        sp = sub.add_parser(name, help=f"count collinear {name} of one permutation")
         sp.add_argument("perm_file", nargs="?", default=None,
                         help="JSON image array, or a generalized-permutation object")
         sp.add_argument("--g", action="store_true",
@@ -468,39 +427,31 @@ def build_parser():
         sp.add_argument("--zn", type=int, default=None, help="ring modulus")
         sp.set_defaults(func=cmd_count, cmd_name=name, counter=counter)
 
-    sp = sub.add_parser("minimizers", parents=[common, search],
+    sp = sub.add_parser("minimizers", parents=[search],
                         help="every minimum-attaining permutation of GF(q)")
     sp.add_argument("q", type=int)
     sp.add_argument("--check-fractional", action="store_true",
                     help="recognize each witness as a patched fractional map")
     sp.set_defaults(func=cmd_minimizers, cmd_name="minimizers", mode="enumerate_all_min")
 
-    sp = sub.add_parser("lexleast", parents=[common, search],
-                        help="lexicographically least minimizer of GF(q)")
-    sp.add_argument("q", type=int)
-    sp.set_defaults(func=cmd_psi_field, cmd_name="lexleast", mode="lex_least")
-
-    sp = sub.add_parser("certify", parents=[common],
-                        help="conic certificate for a claimed minimizer")
+    sp = sub.add_parser("certify", help="conic certificate for a claimed minimizer")
     sp.add_argument("perm_file")
     sp.add_argument("--q", type=int, required=True, help="field order")
     sp.set_defaults(func=cmd_certify, cmd_name="certify")
 
     mols = sub.add_parser("mols", help="mutually orthogonal latin squares")
     molss = mols.add_subparsers(metavar="WHAT")
-    sp = molss.add_parser("from-plane", parents=[common],
-                          help="full MOLS set from an affine plane")
+    sp = molss.add_parser("from-plane", help="full MOLS set from an affine plane")
     sp.add_argument("plane")
     sp.add_argument("--h", type=int, default=None, metavar="I")
     sp.add_argument("--v", type=int, default=None, metavar="J")
     sp.add_argument("--out", default=None, help="write the MOLS file here")
     sp.set_defaults(func=cmd_mols_from_plane, cmd_name="mols from-plane")
-    sp = molss.add_parser("to-plane", parents=[common],
-                          help="rebuild the affine plane of a full MOLS set")
+    sp = molss.add_parser("to-plane", help="rebuild the affine plane of a full MOLS set")
     sp.add_argument("mols_file")
     sp.add_argument("--out", default=None, help="write the plane file here")
     sp.set_defaults(func=cmd_mols_to_plane, cmd_name="mols to-plane")
-    sp = molss.add_parser("diag-witness", parents=[common],
+    sp = molss.add_parser("diag-witness",
                           help="three-in-a-row witness on a relabeled diagonal")
     sp.add_argument("mols_file")
     sp.add_argument("--relabeling", default=None,
@@ -509,22 +460,19 @@ def build_parser():
 
     plane = sub.add_parser("plane", help="plane file utilities")
     planes = plane.add_subparsers(metavar="WHAT")
-    sp = planes.add_parser("validate", parents=[common],
-                           help="report every violated plane axiom")
+    sp = planes.add_parser("validate", help="report every violated plane axiom")
     sp.add_argument("plane")
     sp.set_defaults(func=cmd_plane_validate, cmd_name="plane validate")
-    sp = planes.add_parser("delete-line", parents=[common],
-                           help="affine plane left by removing one line")
+    sp = planes.add_parser("delete-line", help="affine plane left by removing one line")
     sp.add_argument("plane")
     sp.add_argument("index", type=int)
     sp.add_argument("--out", default=None, help="write the plane file here")
     sp.set_defaults(func=cmd_plane_delete, cmd_name="plane delete-line")
-    sp = planes.add_parser("info", parents=[common], help="summary of a plane file")
+    sp = planes.add_parser("info", help="summary of a plane file")
     sp.add_argument("plane")
     sp.set_defaults(func=cmd_plane_info, cmd_name="plane info")
 
-    sp = sub.add_parser("repro", parents=[common],
-                        help="re-derive one of the numbered claims (or 'all')")
+    sp = sub.add_parser("repro", help="re-derive one of the numbered claims (or 'all')")
     sp.add_argument("claim_id", metavar="claim-id",
                     help=f"1..{len(CLAIMS)} or 'all'")
     sp.set_defaults(func=cmd_repro, cmd_name="repro")
@@ -557,7 +505,8 @@ def main(argv=None):
         return _fail(e, 5, argv, digests, t0)
     except (CollineaError, OSError, ValueError) as e:
         return _fail(e, 3, argv, digests, t0)
-    _emit(res, _manifest(args.cmd_name, argv, cfg, digests, t0), args.tsv)
+    print(json.dumps({**res, "manifest": _manifest(args.cmd_name, argv, cfg, digests, t0)},
+                     indent=1))
     return code
 
 

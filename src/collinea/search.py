@@ -103,9 +103,8 @@ MODES = ("min_value", "enumerate_all_min", "lex_least", "first_below")
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """A search's mode and limits.  threads is resolved once, here, by
-    resolve_threads: COLLINEA_THREADS is read when the config is built, and
-    everything downstream reads the stored worker count."""
+    """A search's mode and limits, a plain value: threads is the worker cap,
+    or None for one worker per core."""
 
     mode: str = "min_value"
     bound: int = None  # first_below only: find a witness with count < bound
@@ -119,12 +118,13 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "first_below" and self.bound is None:
             raise ValueError("first_below needs a bound")
-        object.__setattr__(self, "threads", resolve_threads(self.threads))
-        for name in ("bound", "parallel_depth", "node_limit", "upper_bound_seed"):
+        for name, least in (("threads", 1), ("bound", 0), ("parallel_depth", 0),
+                            ("node_limit", 0), ("upper_bound_seed", 0)):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)
-                                      or value < 0):
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+                                      or value < least):
+                kind = "a positive" if least else "a non-negative"
+                raise ValueError(f"{name} must be {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -377,25 +377,6 @@ def _init_worker(ctx):
 
 def _job(shares):
     return _run_shares(_worker, shares)
-
-
-def resolve_threads(threads=None):
-    """The requested worker count: threads if given, else COLLINEA_THREADS if
-    set, else None for one worker per core.  A value that is not a positive
-    integer raises ValueError."""
-    source = "threads"
-    if threads is None:
-        env = os.environ.get("COLLINEA_THREADS")
-        if not env:
-            return None
-        source = "COLLINEA_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"COLLINEA_THREADS={env!r} is not an integer") from None
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"{source} must be a positive integer, got {threads!r}")
-    return threads
 
 
 def _prefixes(size, roots, depth):

@@ -18,14 +18,19 @@ def _exported():
     return names
 
 
+def _names(path):
+    """The identifiers of a file's code, not of its strings or comments."""
+    with tokenize.open(path) as fh:
+        return [tok.string for tok in tokenize.generate_tokens(fh.readline)
+                if tok.type == tokenize.NAME]
+
+
 def _name_tokens():
-    """How often each identifier appears as code, not in strings or comments."""
+    """How often each identifier appears as code."""
     seen = Counter()
     for top in CALLERS:
         for path in (ROOT / top).rglob("*.py"):
-            with tokenize.open(path) as fh:
-                seen.update(tok.string for tok in tokenize.generate_tokens(fh.readline)
-                            if tok.type == tokenize.NAME)
+            seen.update(_names(path))
     return seen
 
 
@@ -39,3 +44,10 @@ def test_every_public_name_is_exported_or_used_outside_the_tests():
     unused = sorted(name for name, n in definitions.items()
                     if name not in exported and seen[name] <= n)
     assert not unused, f"public names only the tests can reach: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    # a SearchConfig, like every other setting, comes from its arguments alone
+    readers = sorted(path.name for path in PACKAGE.rglob("*.py")
+                     if {"environ", "getenv"} & set(_names(path)))
+    assert not readers, f"modules that read the environment: {readers}"

@@ -8,11 +8,9 @@ along a line through the center) extends to a collineation.
 
 import importlib.util
 import os
-import random
 
 import pytest
 
-from collinea.collinear import count_triples, transversal_from_bijection
 from collinea.fixtures import (
     AFFINE_FIXTURES,
     DISTINGUISHED_CLASSES,
@@ -177,18 +175,6 @@ def test_fixture_mols_form_complete_orthogonal_sets(name):
     for i in range(8):
         for j in range(i + 1, 8):
             assert check_orthogonal(squares[i], squares[j])
-
-
-@pytest.mark.parametrize("name", ["hall_translation_deleted", "hughes_generic_deleted"])
-def test_sampled_transversals_always_have_a_triple(name):
-    ap = load_fixture(name)
-    h, v = DISTINGUISHED_CLASSES
-    rng = random.Random(len(name))
-    pi = list(range(9))
-    for _ in range(50):
-        rng.shuffle(pi)
-        gp = transversal_from_bijection(ap, h, v, tuple(pi))
-        assert count_triples(gp) >= 1
 
 
 def test_fixture_generator_derives_the_bundled_hall_plane():

@@ -42,7 +42,6 @@ from collinea.search import (
     min_triples_field,
     min_triples_plane,
     min_triples_zn,
-    resolve_threads,
 )
 
 
@@ -59,8 +58,12 @@ def test_config_validation():
                 SearchConfig(**{name: bad})
         with pytest.raises(ValueError, match="non-negative integer"):
             SearchConfig(mode="first_below", bound=bad)
+    for bad in (0, -1, 2.5, "3", True):
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
+            SearchConfig(threads=bad)
     assert SearchConfig(node_limit=0, upper_bound_seed=0).node_limit == 0
     assert SearchConfig(mode="first_below", bound=0).bound == 0
+    assert (SearchConfig().threads, SearchConfig(threads=1).threads) == (None, 1)
 
 
 def test_field_psi_small():
@@ -994,48 +997,6 @@ def test_prefix_tasks_split_below_the_roots():
         (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1)]
     assert list(_prefixes(3, [()], 1)) == [(0,), (1,), (2,)]
     assert list(_prefixes(3, [(0, 1)], 0)) == [(0, 1)]
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("COLLINEA_THREADS", raising=False)
-    assert resolve_threads(None) is None
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("COLLINEA_THREADS", "4")
-    assert resolve_threads(None) == 4
-    assert resolve_threads(2) == 2
-    for bad in ("two", "0", "-3", "1.5"):
-        monkeypatch.setenv("COLLINEA_THREADS", bad)
-        with pytest.raises(ValueError):
-            resolve_threads(None)
-    for bad in (0, -1, 2.5, "2", True):
-        with pytest.raises(ValueError):
-            resolve_threads(bad)
-        with pytest.raises(ValueError):
-            SearchConfig(threads=bad)
-
-
-def test_config_resolves_threads_once(monkeypatch):
-    monkeypatch.setenv("COLLINEA_THREADS", "3")
-    cfg = SearchConfig()
-    assert cfg.threads == 3
-    monkeypatch.setenv("COLLINEA_THREADS", "5")
-    assert replace(cfg, mode="lex_least").threads == 3
-    assert SearchConfig(threads=2).threads == 2
-    monkeypatch.setenv("COLLINEA_THREADS", "two")
-    with pytest.raises(ValueError, match="COLLINEA_THREADS"):
-        SearchConfig()  # a sequential config too
-    monkeypatch.delenv("COLLINEA_THREADS")
-    assert SearchConfig().threads is None
-
-
-@pytest.mark.parametrize("mode", ["min_value", "enumerate_all_min"])
-def test_parallel_threads_from_the_environment(mode, monkeypatch):
-    # COLLINEA_THREADS=2 makes two shares, as threads=2 does
-    monkeypatch.setenv("COLLINEA_THREADS", "2")
-    out = min_triples_field(field_make(9), SearchConfig(mode=mode, parallel_depth=2))
-    assert out.config.threads == 2
-    pin = [c[3:] for c in PARALLEL_COUNTS if c[:3] == ("field", 9, mode)]
-    assert [(out.nodes_expanded, out.prunes)] == pin
 
 
 def test_parallel_zn_and_plane_agree():

@@ -11,18 +11,24 @@ lines.  One Gauss-Jordan elimination over the six Veronese columns serves
 every conic fit: fit_conic runs it on its points' rows, and the drop-one
 conic search runs it once on the 6x6 Veronese matrix of the six leading
 points, which yields every conic through five of them, then tests the
-remaining points against each distinct conic once.  A point is an internal
-nucleus when its joins with the other points are q+1 distinct lines; the
-covered lines are the distinct secants plus, at each point, the q+1 lines
-through it less its distinct joins.  certificate_bundle computes each join
-once and reads both the nucleus checks and the covered lines from that one
-sweep.  A certificate costs O(q^2) field operations."""
+remaining points against each distinct conic once.
+
+The line facts come from the (slope, intercept) buckets whose sizes
+count_triples sums (collinear._slope_buckets), not from the C(q+2, 2) joins
+of the lifted points.  A point is an internal nucleus when every line
+through it meets the set in exactly one other point; the lines through
+[1:0:0] are z = 0 and the horizontals, the slope-0 buckets.  A line of slope
+s != 0 misses both infinite points, so it meets the set exactly when its
+bucket is nonempty.  That gives the covered lines k* in 2q^2 field
+operations, where the joins take 13 C(q+2, 2).  count_covered_lines, which
+joins any point set, stays the generic reference.  A certificate costs
+O(q^2) field operations."""
 
 import itertools
 from dataclasses import dataclass
 
 from .algebra import FieldSpec
-from .collinear import count_triples, recognize_fractional
+from .collinear import _slope_buckets, count_triples, recognize_fractional
 from .errors import (
     Ambiguous,
     CertificateFailure,
@@ -71,13 +77,6 @@ def lift_graph(perm):
     return frozenset([(x, y, 1) for x, y in enumerate(perm.images)] + list(_INFINITE))
 
 
-def _nucleus_joins(f, points):
-    """The joins through each infinite point only: 2(q+1) lines.  A point of
-    a (q+2)-point set is an internal nucleus (every line through it meets the
-    set in exactly one other point) exactly when it has q+1 distinct joins."""
-    return {inf: {_join(f, inf, r) for r in points if r != inf} for inf in _INFINITE}
-
-
 def _join_sweep(f, points):
     """Every point's distinct joins with the others, each of the C(n, 2)
     lines computed once."""
@@ -98,6 +97,16 @@ def count_covered_lines(points, f):
     distinct secants, plus at each point the lines through it that join it
     to no other point of the set (its tangents)."""
     return _covered(_join_sweep(f, sorted({normalize_point(f, p) for p in points})), f.q)
+
+
+def _covered_by_buckets(perm):
+    """count_covered_lines of lift_graph(perm), off the slope buckets: z = 0
+    meets both infinite points, each horizontal line [1:0:0] and each
+    vertical line [0:1:0], and a line of slope s != 0 meets the set exactly
+    when its bucket is nonempty."""
+    slopes = _slope_buckets(perm)
+    next(slopes)  # slope 0: the horizontals, among the 2q lines counted
+    return 1 + 2 * perm.ctx.q + sum(1 for buckets in slopes for m in buckets if m)
 
 
 def _veronese(f, pt):
@@ -270,10 +279,10 @@ def _drop_one_hits(candidates, f):
     return hits
 
 
-def _certify(perm, joins=_nucleus_joins):
-    """certify_minimizer's checks; returns the certificate with the joins of
-    the lifted set (`joins(f, points)`, which must cover both infinite points)
-    and the recognized fractional parameters it was checked against."""
+def _certify(perm):
+    """certify_minimizer's checks; returns the certificate and the recognized
+    fractional parameters it was checked against.  The nucleus check reads
+    only the slope-0 buckets, 2q field operations."""
     f = perm.ctx
     if not isinstance(f, FieldSpec):
         raise ValueError(f"certificates need a finite field, got {f!r}")
@@ -286,8 +295,7 @@ def _certify(perm, joins=_nucleus_joins):
         raise CertificateFailure(
             "minimizer_precondition", f"permutation has more than {(q-1)//2} triples"
         )
-    omega = lift_graph(perm)
-    hits = _drop_one_hits(sorted(omega), f)
+    hits = _drop_one_hits(sorted(lift_graph(perm)), f)
     if not hits:
         raise CertificateFailure("conic_fit", "no drop-one subset admits a unique conic")
     if len(hits) > 1:
@@ -308,12 +316,13 @@ def _certify(perm, joins=_nucleus_joins):
         raise CertificateFailure(
             "external_point_matches_params", f"fit gave {ext}, parameters give {predicted}"
         )
-    # internal nucleus: q+1 distinct joins with the q+1 other points
-    lines = joins(f, omega)
-    for inf in _INFINITE:
-        if len(lines[inf]) != q + 1:
-            raise CertificateFailure("internal_nucleus", f"{inf} fails the nucleus test")
-    return ConicCert(cert.coeffs, ext, True, True), lines, params
+    # internal nucleus: each line through the point holds one other point.
+    # [0:1:0] always is one: z = 0 holds [1:0:0], and each vertical line x = c
+    # holds the one graph point (c, sigma(c)).  The lines through [1:0:0] are
+    # z = 0 and the horizontals y = c, whose points the slope-0 buckets count.
+    if any(m != 1 for m in next(_slope_buckets(perm))):
+        raise CertificateFailure("internal_nucleus", f"{_INFINITE[0]} fails the nucleus test")
+    return ConicCert(cert.coeffs, ext, True, True), params
 
 
 def certify_minimizer(perm):
@@ -333,13 +342,14 @@ def certify_minimizer(perm):
 
 
 def certificate_bundle(perm):
-    """Certificate plus its side computations, shaped for JSON output.  One
-    join sweep serves the nucleus checks and the covered-line count."""
-    cert, joins, params = _certify(perm, _join_sweep)
+    """Certificate plus its side computations, shaped for JSON output.  The
+    covered-line count k* is read off the slope buckets, 1 + 2q plus the
+    nonempty buckets of the slopes s != 0 (_covered_by_buckets)."""
+    cert, params = _certify(perm)
     return {
         "coeffs": list(cert.coeffs),
         "external_point": list(cert.external_point),
-        "k_star": _covered(joins, perm.ctx.q),
+        "k_star": _covered_by_buckets(perm),
         # certification fails unless both infinite points are internal nuclei
         "nucleus_checks": {"[1:0:0]": True, "[0:1:0]": True},
         "lemma_ab_zero": cert.coeffs[0] == 0 and cert.coeffs[1] == 0,

@@ -108,7 +108,9 @@ def count_triples(perm):
     slope counts every triple exactly once.  Z_n falls back to testing all
     C(n, 3) determinants, each computed as (x2-x1)(y3-y1) - (x3-x1)(y2-y1)
     in the integers and reduced mod n once.  A transversal counts C(m, 3) on
-    each line outside its two grid classes that holds m of its cells."""
+    each line outside its two grid classes that holds m of its cells.  The
+    one bucket loop, _slope_buckets, also gives classify's certificate its
+    covered lines and its nucleus check."""
     if isinstance(perm, GenPerm):
         return _plane_line_count(perm, 3)
     ctx = perm.ctx
@@ -155,17 +157,25 @@ def count_quadruples(obj):
     return total
 
 
-def _slope_count(perm, r):
-    """C(m, r) summed over the (slope, intercept) buckets of a field graph."""
+def _slope_buckets(perm):
+    """The (slope, intercept) buckets of a field graph, one list per slope s
+    in slope order: entry b counts the graph points on the line y = s*x + b.
+    Each slope costs 2q field operations, so a caller that reads only the
+    first (the horizontal lines) pays for that one."""
     f = perm.ctx
     q = f.q
-    total = 0
     for s in range(q):
         buckets = [0] * q
         for x in range(q):
             buckets[f.sub(perm.images[x], f.mul(s, x))] += 1
-        total += sum(comb(m, r) for m in buckets if m >= r)
-    return total
+        yield buckets
+
+
+def _slope_count(perm, r):
+    """C(m, r) summed over the (slope, intercept) buckets of a field graph:
+    every non-vertical line holds the points of one bucket, and a vertical
+    line holds one graph point, so each r-set on a line is counted once."""
+    return sum(comb(m, r) for buckets in _slope_buckets(perm) for m in buckets if m >= r)
 
 
 def _plane_line_count(gp, r):

@@ -13,10 +13,10 @@ from collinea.algebra import FieldSpec, RingSpec, field_make
 from collinea.classify import (
     ConicCert,
     _conic_cert,
+    _covered_by_buckets,
     _drop_one_hits,
     _five_point_fits,
     _join_sweep,
-    _nucleus_joins,
     _veronese,
     certificate_bundle,
     certify_minimizer,
@@ -30,6 +30,7 @@ from collinea.classify import (
 from collinea.collinear import (
     FracParams,
     PermGraph,
+    _slope_buckets,
     closed_form_minimizer,
     fractional_perm,
     reciprocal_perm,
@@ -74,9 +75,12 @@ def test_infinite_points_are_internal_nuclei():
         base = list(range(q))
         for _ in range(5):
             rng.shuffle(base)
-            om = lift_graph(PermGraph(f, tuple(base)))
-            # q+1 distinct joins with the q+1 other points, as _certify reads them
-            assert [len(js) for js in _nucleus_joins(f, om).values()] == [q + 1, q + 1]
+            perm = PermGraph(f, tuple(base))
+            joins = _join_sweep(f, lift_graph(perm))
+            # q+1 distinct joins with the q+1 other points
+            assert [len(joins[inf]) for inf in ((1, 0, 0), (0, 1, 0))] == [q + 1, q + 1]
+            # one graph point on each horizontal line, as _certify reads it
+            assert next(_slope_buckets(perm)) == [1] * q
 
 
 def test_affine_point_on_long_line_is_not_a_nucleus():
@@ -101,6 +105,32 @@ def test_covered_lines_of_the_closed_form(q):
     assert got == (q + 1) * (q + 2) // 2 + (q - 1) // 2
     # tight inclusion-exclusion: pair lines minus double counts plus triples
     assert got == (q + 1) * (q + 2) - comb(q + 2, 2) + (q - 1) // 2
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11])
+def test_covered_lines_from_buckets_match_the_join_sweep(q):
+    """Oracle: the slope-bucket line count against the projective join sweep,
+    on random permutations, the identity and (odd q) the closed form."""
+    f = field_make(q)
+    rng = random.Random(700 + q)
+    perms = [PermGraph(f, tuple(range(q)))]
+    if q % 2:
+        perms.append(closed_form_minimizer(f))
+    for _ in range(8):
+        images = list(range(q))
+        rng.shuffle(images)
+        perms.append(PermGraph(f, tuple(images)))
+    for perm in perms:
+        assert _covered_by_buckets(perm) == count_covered_lines(lift_graph(perm), f), perm
+
+
+def test_bundle_k_star_matches_the_join_sweep():
+    f7 = field_make(7)
+    gf7 = [PermGraph(f7, w) for w in
+           min_triples_field(f7, SearchConfig(mode="enumerate_all_min")).witnesses]
+    assert len(gf7) == 294
+    for perm in gf7:
+        assert certificate_bundle(perm)["k_star"] == count_covered_lines(lift_graph(perm), f7)
 
 
 def test_covered_lines_against_plane_module():
@@ -349,18 +379,24 @@ def _nucleus_by_line_sweep(f, omega, p):
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_is_internal_nucleus_against_line_sweep(q):
-    """The nucleus condition _certify reads off the join sets (q+1 distinct
-    joins on a (q+2)-point set) against a sweep of every line."""
+    """The nucleus condition read off the join sets (q+1 distinct joins on a
+    (q+2)-point set), and _certify's slope-0 check on the lifted
+    permutations, against a sweep of every line."""
     f = field_make(q)
     rng = random.Random(100 + q)
     pts = _proj_points(q)
-    omegas = []
+    perms = []
     for _ in range(6):
         images = list(range(q))
         rng.shuffle(images)
-        omegas.append(lift_graph(PermGraph(f, tuple(images))))
-    identity = lift_graph(PermGraph(f, tuple(range(q))))
-    omegas.append(identity)
+        perms.append(PermGraph(f, tuple(images)))
+    perms.append(PermGraph(f, tuple(range(q))))
+    for perm in perms:
+        # the slope-0 check _certify makes for [1:0:0]
+        got = all(m == 1 for m in next(_slope_buckets(perm)))
+        assert got == _nucleus_by_line_sweep(f, lift_graph(perm), (1, 0, 0)), perm
+    omegas = [lift_graph(perm) for perm in perms]
+    identity = omegas[-1]
     # image 0 taken twice: y = 0 holds two points of the set, y = q-1 none
     omegas.append(identity - {(q - 1, q - 1, 1)} | {(q - 1, 0, 1)})
     for n in (3, q + 1, q + 2, q + 3):
@@ -368,12 +404,9 @@ def test_is_internal_nucleus_against_line_sweep(q):
     seen = set()
     for om in omegas:
         joins = _join_sweep(f, om)
-        nucleus_joins = _nucleus_joins(f, om)
         for p in sorted(om):
             got = len(om) == q + 2 and len(joins[p]) == q + 1
             assert got == _nucleus_by_line_sweep(f, om, p), (om, p)
-            if p in nucleus_joins:
-                assert nucleus_joins[p] == joins[p]
             seen.add(got)
     assert seen == {True, False}
 
@@ -563,17 +596,24 @@ def test_failed_checks_past_the_precondition_are_pinned(q, monkeypatch):
 
 _OPS = ("add", "sub", "neg", "mul", "inv", "div", "pow_")
 
-# FieldSpec ops per certify_minimizer call before the six-point elimination:
-# the closed form, the reciprocal map, then four seeded fractional maps
+# FieldSpec ops per call, exact counts with the certificate's line facts read
+# off the slope buckets: the closed form, the reciprocal map, then four seeded
+# fractional maps.  A join sweep of the lifted points would add 194-338 per
+# certify_minimizer call and 356-1001 per certificate_bundle call, and fail.
 OP_BOUNDS = {
-    7: [1863, 1831, 1863, 2011, 2152, 2023],
-    9: [2047, 1999, 2763, 2075, 2799, 2758],
-    13: [2583, 2547, 4414, 2731, 3972, 2715],
+    7: [531, 541, 568, 602, 505, 602],
+    9: [664, 653, 606, 698, 607, 643],
+    13: [993, 999, 967, 1062, 967, 1075],
+}
+BUNDLE_OP_BOUNDS = {
+    7: [629, 639, 666, 700, 603, 700],
+    9: [826, 815, 768, 860, 769, 805],
+    13: [1331, 1337, 1305, 1400, 1305, 1413],
 }
 
 
-@pytest.mark.parametrize("q", sorted(OP_BOUNDS))
-def test_certify_minimizer_field_ops_are_bounded(q, monkeypatch):
+def _field_ops(fn, q, monkeypatch):
+    """FieldSpec calls made by each fn(perm) over the OP_BOUNDS maps."""
     f = field_make(q)
     perms = [closed_form_minimizer(f), reciprocal_perm(f)] + _fractional_sample(q, 4, 500 + q)
     count = [0]
@@ -589,6 +629,18 @@ def test_certify_minimizer_field_ops_are_bounded(q, monkeypatch):
     used = []
     for perm in perms:
         count[0] = 0
-        certify_minimizer(perm)
+        fn(perm)
         used.append(count[0])
+    return used
+
+
+@pytest.mark.parametrize("q", sorted(OP_BOUNDS))
+def test_certify_minimizer_field_ops_are_bounded(q, monkeypatch):
+    used = _field_ops(certify_minimizer, q, monkeypatch)
     assert all(u <= bound for u, bound in zip(used, OP_BOUNDS[q])), used
+
+
+@pytest.mark.parametrize("q", sorted(BUNDLE_OP_BOUNDS))
+def test_certificate_bundle_field_ops_are_bounded(q, monkeypatch):
+    used = _field_ops(certificate_bundle, q, monkeypatch)
+    assert all(u <= bound for u, bound in zip(used, BUNDLE_OP_BOUNDS[q])), used

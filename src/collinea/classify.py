@@ -13,22 +13,23 @@ conic search runs it once on the 6x6 Veronese matrix of the six leading
 points, which yields every conic through five of them, then tests the
 remaining points against each distinct conic once.
 
-The line facts come from the (slope, intercept) buckets whose sizes
-count_triples sums (collinear._slope_buckets), not from the C(q+2, 2) joins
-of the lifted points.  A point is an internal nucleus when every line
-through it meets the set in exactly one other point; the lines through
-[1:0:0] are z = 0 and the horizontals, the slope-0 buckets.  A line of slope
-s != 0 misses both infinite points, so it meets the set exactly when its
-bucket is nonempty.  That gives the covered lines k* in 2q^2 field
-operations, where the joins take 13 C(q+2, 2).  count_covered_lines, which
-joins any point set, stays the generic reference.  A certificate costs
-O(q^2) field operations."""
+The line facts come from the line sizes whose C(m, 3) count_triples sums
+(collinear._line_sizes), not from the C(q+2, 2) joins of the lifted points,
+and one sizes pass per certificate serves the triple count, the nucleus
+check and k*.  A point is an internal nucleus when every line through it
+meets the set in exactly one other point; the lines through [1:0:0] are
+z = 0 and the horizontals, sizes[:q].  A line of slope s != 0 misses both
+infinite points, so it meets the set exactly when its size is nonzero.
+That gives the covered lines k* in at most 2q^2 field operations, none once
+the field's memo holds the graph's cells, where the joins take
+13 C(q+2, 2).  count_covered_lines, which joins any point set, stays the
+generic reference.  A certificate costs O(q^2) field operations."""
 
 import itertools
 from dataclasses import dataclass
 
 from .algebra import FieldSpec
-from .collinear import _slope_buckets, count_triples, recognize_fractional
+from .collinear import _line_sizes, _slope_count, recognize_fractional
 from .errors import (
     Ambiguous,
     CertificateFailure,
@@ -99,14 +100,12 @@ def count_covered_lines(points, f):
     return _covered(_join_sweep(f, sorted({normalize_point(f, p) for p in points})), f.q)
 
 
-def _covered_by_buckets(perm):
-    """count_covered_lines of lift_graph(perm), off the slope buckets: z = 0
-    meets both infinite points, each horizontal line [1:0:0] and each
-    vertical line [0:1:0], and a line of slope s != 0 meets the set exactly
-    when its bucket is nonempty."""
-    slopes = _slope_buckets(perm)
-    next(slopes)  # slope 0: the horizontals, among the 2q lines counted
-    return 1 + 2 * perm.ctx.q + sum(1 for buckets in slopes for m in buckets if m)
+def _covered_by_sizes(sizes, q):
+    """count_covered_lines of the lifted graph with these line sizes
+    (collinear._line_sizes): all q^2 + q + 1 lines but the empty ones of
+    slope s != 0.  z = 0 meets both infinite points, each horizontal line
+    [1:0:0] and each vertical line [0:1:0]."""
+    return q * q + q + 1 - sizes[q:].count(0)
 
 
 def _veronese(f, pt):
@@ -280,9 +279,9 @@ def _drop_one_hits(candidates, f):
 
 
 def _certify(perm):
-    """certify_minimizer's checks; returns the certificate and the recognized
-    fractional parameters it was checked against.  The nucleus check reads
-    only the slope-0 buckets, 2q field operations."""
+    """certify_minimizer's checks; returns the certificate, the recognized
+    fractional parameters it was checked against and the graph's line sizes,
+    which the triple count and the nucleus check read."""
     f = perm.ctx
     if not isinstance(f, FieldSpec):
         raise ValueError(f"certificates need a finite field, got {f!r}")
@@ -291,7 +290,8 @@ def _certify(perm):
         raise EvenCharacteristic("certificates need odd q")
     if q < 5:
         raise FieldTooSmall(f"certificates need q >= 5, got {q}")
-    if count_triples(perm) != (q - 1) // 2:
+    sizes = _line_sizes(perm)
+    if _slope_count(sizes, 3) != (q - 1) // 2:
         raise CertificateFailure(
             "minimizer_precondition", f"permutation has more than {(q-1)//2} triples"
         )
@@ -319,10 +319,10 @@ def _certify(perm):
     # internal nucleus: each line through the point holds one other point.
     # [0:1:0] always is one: z = 0 holds [1:0:0], and each vertical line x = c
     # holds the one graph point (c, sigma(c)).  The lines through [1:0:0] are
-    # z = 0 and the horizontals y = c, whose points the slope-0 buckets count.
-    if any(m != 1 for m in next(_slope_buckets(perm))):
+    # z = 0 and the horizontals y = c, whose points sizes[:q] count.
+    if any(m != 1 for m in sizes[:q]):
         raise CertificateFailure("internal_nucleus", f"{_INFINITE[0]} fails the nucleus test")
-    return ConicCert(cert.coeffs, ext, True, True), params
+    return ConicCert(cert.coeffs, ext, True, True), params, sizes
 
 
 def certify_minimizer(perm):
@@ -343,13 +343,13 @@ def certify_minimizer(perm):
 
 def certificate_bundle(perm):
     """Certificate plus its side computations, shaped for JSON output.  The
-    covered-line count k* is read off the slope buckets, 1 + 2q plus the
-    nonempty buckets of the slopes s != 0 (_covered_by_buckets)."""
-    cert, params = _certify(perm)
+    covered-line count k* is read off the line sizes _certify computed
+    (_covered_by_sizes)."""
+    cert, params, sizes = _certify(perm)
     return {
         "coeffs": list(cert.coeffs),
         "external_point": list(cert.external_point),
-        "k_star": _covered_by_buckets(perm),
+        "k_star": _covered_by_sizes(sizes, perm.ctx.q),
         # certification fails unless both infinite points are internal nuclei
         "nucleus_checks": {"[1:0:0]": True, "[0:1:0]": True},
         "lemma_ab_zero": cert.coeffs[0] == 0 and cert.coeffs[1] == 0,

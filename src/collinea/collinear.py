@@ -1,11 +1,13 @@
 """Permutation graphs and exact collinear triple/quadruple counts.
 
-Works in three settings: GF(q) (slope-bucket counting), Z_n (exhaustive
-determinant tests; collinearity there is *defined* as vanishing of the same
-determinant mod n), and abstract affine planes (line intersection counts
-against a transversal).  count_triples and count_quadruples take a PermGraph
-or a GenPerm alike.  A transversal's cells come from plane.plane_grid, the
-one map from (h line i, v line j) to the point where they meet.
+Works in three settings: GF(q) (the sizes of the lines y = s*x + b, each
+cell's q lines computed once by field arithmetic and kept per field up to
+order _KEEP_LINES), Z_n (exhaustive determinant tests; collinearity there is
+*defined* as vanishing of the same determinant mod n), and abstract affine
+planes (line intersection counts against a transversal).  count_triples and
+count_quadruples take a PermGraph or a GenPerm alike.  A transversal's cells
+come from plane.plane_grid, the one map from (h line i, v line j) to the
+point where they meet.
 
 Over GF(q) it also defines the patched fractional maps (alpha*x + beta) /
 (x + gamma) with sigma(-gamma) = alpha, the paper's minimizers.
@@ -16,6 +18,7 @@ inverts it one pole at a time.
 
 import itertools
 from dataclasses import InitVar, dataclass
+from functools import lru_cache
 from math import comb
 
 from .algebra import FieldSpec
@@ -102,20 +105,20 @@ def is_collinear(ctx, p1, p2, p3):
 def count_triples(perm):
     """Number of collinear triples of a PermGraph or a GenPerm.
 
-    Field contexts bucket by (slope, intercept): three graph points are
-    collinear iff they share a non-vertical line, and no line of slope s holds
-    two points with equal x, so summing C(m, 3) over intercept buckets of each
-    slope counts every triple exactly once.  Z_n falls back to testing all
-    C(n, 3) determinants, each computed as (x2-x1)(y3-y1) - (x3-x1)(y2-y1)
-    in the integers and reduced mod n once.  A transversal counts C(m, 3) on
-    each line outside its two grid classes that holds m of its cells.  The
-    one bucket loop, _slope_buckets, also gives classify's certificate its
-    covered lines and its nucleus check."""
+    Over a field three graph points are collinear iff they share a
+    non-vertical line y = s*x + b, and no such line holds two points with
+    equal x, so summing C(m, 3) over the sizes m of the q^2 lines
+    (_line_sizes) counts every triple exactly once.  Z_n falls back to
+    testing all C(n, 3) determinants, each computed as
+    (x2-x1)(y3-y1) - (x3-x1)(y2-y1) in the integers and reduced mod n once.
+    A transversal counts C(m, 3) on each line outside its two grid classes
+    that holds m of its cells.  The one sizes pass, _line_sizes, also gives
+    classify's certificate its covered lines and its nucleus check."""
     if isinstance(perm, GenPerm):
         return _plane_line_count(perm, 3)
     ctx = perm.ctx
     if isinstance(ctx, FieldSpec):
-        return _slope_count(perm, 3)
+        return _slope_count(_line_sizes(perm), 3)
     n = ctx.n
     ys = perm.images
     return sum(
@@ -140,14 +143,14 @@ def list_triples(perm):
 def count_quadruples(obj):
     """Collinear quadruples of a PermGraph or a GenPerm.
 
-    Over a field, same bucketing as triples with C(m, 4); over a plane,
+    Over a field, C(m, 4) over the same line sizes as triples; over a plane,
     C(m, 4) per unskipped line; over Z_n a 4-set counts when all four of its
     sub-triples have vanishing determinant."""
     if isinstance(obj, GenPerm):
         return _plane_line_count(obj, 4)
     ctx = obj.ctx
     if isinstance(ctx, FieldSpec):
-        return _slope_count(obj, 4)
+        return _slope_count(_line_sizes(obj), 4)
     n = ctx.n
     pts = [(x, obj.images[x]) for x in range(n)]
     total = 0
@@ -157,25 +160,47 @@ def count_quadruples(obj):
     return total
 
 
-def _slope_buckets(perm):
-    """The (slope, intercept) buckets of a field graph, one list per slope s
-    in slope order: entry b counts the graph points on the line y = s*x + b.
-    Each slope costs 2q field operations, so a caller that reads only the
-    first (the horizontal lines) pays for that one."""
+# Fields up to this order keep their cell -> lines memo for the life of the
+# process: at most q^2 tuples of q shared line ids, about 190 KB at q = 25.
+# A larger field builds the lines of its q cells afresh on every count.
+_KEEP_LINES = 32
+
+
+@lru_cache(maxsize=None)
+def _kept_lines(f):
+    """The kept memo of a field, cell -> lines, and the line ids its tuples
+    share."""
+    return {}, list(range(f.q * f.q))
+
+
+def _line_sizes(perm):
+    """How many graph points each non-vertical line of a field graph holds:
+    entry s*q + b counts those on y = s*x + b, so sizes[:q] are the
+    horizontal lines.  Cell (x, y) lies on the line s*q + (y - s*x) of each
+    slope s; those q ids cost 2q field operations, once per cell up to order
+    _KEEP_LINES, whose memo keeps them, and on every count above it."""
     f = perm.ctx
     q = f.q
-    for s in range(q):
-        buckets = [0] * q
-        for x in range(q):
-            buckets[f.sub(perm.images[x], f.mul(s, x))] += 1
-        yield buckets
+    keep = q <= _KEEP_LINES
+    memo, ids = _kept_lines(f) if keep else ({}, range(q * q))
+    sizes = [0] * (q * q)
+    for x, y in enumerate(perm.images):
+        cell = x * q + y
+        lines = memo.get(cell)
+        if lines is None:
+            lines = tuple([ids[s * q + f.sub(y, f.mul(s, x))] for s in range(q)])
+            if keep:
+                memo[cell] = lines
+        for line in lines:
+            sizes[line] += 1
+    return sizes
 
 
-def _slope_count(perm, r):
-    """C(m, r) summed over the (slope, intercept) buckets of a field graph:
-    every non-vertical line holds the points of one bucket, and a vertical
-    line holds one graph point, so each r-set on a line is counted once."""
-    return sum(comb(m, r) for buckets in _slope_buckets(perm) for m in buckets if m >= r)
+def _slope_count(sizes, r):
+    """C(m, r) summed over the line sizes of a field graph: every
+    non-vertical line holds m of its points, and a vertical line holds one,
+    so each r-set on a line is counted once."""
+    return sum([comb(m, r) for m in sizes if m >= r])
 
 
 def _plane_line_count(gp, r):

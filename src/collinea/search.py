@@ -66,9 +66,10 @@ best + 1, and first_below stops at the first leaf under its bound.  The seed
 comes from the closed form (odd q and prime n) or the reciprocal map (even
 q); composite n and planes start from C(size, 3) + 1.  With parallel_depth >
 0 each root is split that many levels further into prefix tasks, dealt
-round-robin into static shares, one job per process of one process pool per
-search (_search_shares).  A share carries its own state, one _Incumbent with
-its witnesses and node and prune counts, which the kernel fills as it runs.
+round-robin into static shares (_search_shares): the calling process runs one
+job of shares and each worker of one process pool per search another.  A
+share carries its own state, one _Incumbent with its witnesses and node and
+prune counts, which the kernel fills as it runs.
 Sequential and parallel runs share the share code and one merge of the
 shares in task order, so both count nodes and enforce node_limit the same
 way.
@@ -76,13 +77,14 @@ way.
 Before a search returns, _run_search recounts every witness it reports with a
 counter that shares nothing with the kernel's pair table, and raises
 AssertionError unless each recounts to psi.  Over a field that is
-count_triples (slope buckets, about q^2 field ops); over Z_n count_triples
-tests all C(n, 3) determinants in the integers, reducing each mod n once; over
-a plane it is a table built once per search from the raw incidences, cell
-(i, j) -> the lines outside the two grid classes through the point where h
-line i meets v line j, and a witness's count is C(m, 3) summed over those
-lines, m being the chosen cells on each.  None of them reads plane_grid,
-the MOLS or a pair table.
+count_triples, C(m, 3) over the sizes of the lines y = s*x + b, whose ids
+at each cell collinear._line_sizes computes by field arithmetic and keeps
+per field; over Z_n count_triples tests all C(n, 3) determinants in the
+integers, reducing each mod n once; over a plane it is a table built once
+per search from the raw incidences, cell (i, j) -> the lines outside the two
+grid classes through the point where h line i meets v line j, and a
+witness's count is C(m, 3) summed over those lines, m being the chosen cells
+on each.  None of them reads plane_grid, the MOLS or a pair table.
 """
 
 import os
@@ -415,8 +417,11 @@ def _search_shares(cfg, size, pairs, sym, roots, limit, mode):
     Sequentially (parallel_depth 0) one share runs the roots in this process.
     Otherwise there are min(threads or cores, tasks) shares, so a requested
     thread count fixes the node counts whatever the cores, and each of
-    min(shares, cores) processes runs every process-count-th share as one
-    job, on one pool per search (in this process when that is one process).
+    procs = min(shares, cores) processes runs every procs-th share as one
+    job.  This process runs job 0 itself, after handing jobs 1..procs-1 to
+    one pool of procs - 1 workers per search (no pool when procs is 1), and
+    then collects theirs.  An exception on either side fails the search once
+    the pool has shut down.
 
     Shares are offered in the order of their first witness, which is task
     order: the tasks are disjoint prefix ranges in lex order.  The merge
@@ -440,10 +445,11 @@ def _search_shares(cfg, size, pairs, sym, roots, limit, mode):
     if procs == 1:
         shares = _run_shares(ctx, range(count))
     else:
-        with ProcessPoolExecutor(max_workers=procs, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=procs - 1, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
-            jobs = pool.map(_job, [range(j, count, procs) for j in range(procs)])
-            shares = [inc for incs in jobs for inc in incs]
+            jobs = pool.map(_job, [range(j, count, procs) for j in range(1, procs)])
+            shares = _run_shares(ctx, range(0, count, procs))
+            shares += [inc for incs in jobs for inc in incs]
     nodes = sum(inc.nodes for inc in shares)
     if cfg.node_limit is not None and nodes > cfg.node_limit:
         raise NodeLimitExceeded(f"expanded more than {cfg.node_limit} nodes")

@@ -13,7 +13,7 @@ from collinea.algebra import FieldSpec, RingSpec, field_make
 from collinea.classify import (
     ConicCert,
     _conic_cert,
-    _covered_by_buckets,
+    _covered_by_sizes,
     _drop_one_hits,
     _five_point_fits,
     _join_sweep,
@@ -30,7 +30,7 @@ from collinea.classify import (
 from collinea.collinear import (
     FracParams,
     PermGraph,
-    _slope_buckets,
+    _line_sizes,
     closed_form_minimizer,
     fractional_perm,
     reciprocal_perm,
@@ -80,7 +80,7 @@ def test_infinite_points_are_internal_nuclei():
             # q+1 distinct joins with the q+1 other points
             assert [len(joins[inf]) for inf in ((1, 0, 0), (0, 1, 0))] == [q + 1, q + 1]
             # one graph point on each horizontal line, as _certify reads it
-            assert next(_slope_buckets(perm)) == [1] * q
+            assert _line_sizes(perm)[:q] == [1] * q
 
 
 def test_affine_point_on_long_line_is_not_a_nucleus():
@@ -109,7 +109,7 @@ def test_covered_lines_of_the_closed_form(q):
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11])
 def test_covered_lines_from_buckets_match_the_join_sweep(q):
-    """Oracle: the slope-bucket line count against the projective join sweep,
+    """Oracle: the line-size line count against the projective join sweep,
     on random permutations, the identity and (odd q) the closed form."""
     f = field_make(q)
     rng = random.Random(700 + q)
@@ -121,7 +121,8 @@ def test_covered_lines_from_buckets_match_the_join_sweep(q):
         rng.shuffle(images)
         perms.append(PermGraph(f, tuple(images)))
     for perm in perms:
-        assert _covered_by_buckets(perm) == count_covered_lines(lift_graph(perm), f), perm
+        got = _covered_by_sizes(_line_sizes(perm), q)
+        assert got == count_covered_lines(lift_graph(perm), f), perm
 
 
 def test_bundle_k_star_matches_the_join_sweep():
@@ -392,8 +393,8 @@ def test_is_internal_nucleus_against_line_sweep(q):
         perms.append(PermGraph(f, tuple(images)))
     perms.append(PermGraph(f, tuple(range(q))))
     for perm in perms:
-        # the slope-0 check _certify makes for [1:0:0]
-        got = all(m == 1 for m in next(_slope_buckets(perm)))
+        # the horizontal-line check _certify makes for [1:0:0]
+        got = all(m == 1 for m in _line_sizes(perm)[:q])
         assert got == _nucleus_by_line_sweep(f, lift_graph(perm), (1, 0, 0)), perm
     omegas = [lift_graph(perm) for perm in perms]
     identity = omegas[-1]
@@ -582,7 +583,7 @@ FAILED_CHECKS = {
 def test_failed_checks_past_the_precondition_are_pinned(q, monkeypatch):
     """With the triple count forced to (q-1)/2, every permutation reaches the
     conic checks; the first failed check of each is pinned."""
-    monkeypatch.setattr(classify, "count_triples", lambda perm: (perm.ctx.q - 1) // 2)
+    monkeypatch.setattr(classify, "_slope_count", lambda sizes, r: (q - 1) // 2)
     f, perms = _failure_perms(q)
     names = []
     for images in perms:
@@ -596,26 +597,28 @@ def test_failed_checks_past_the_precondition_are_pinned(q, monkeypatch):
 
 _OPS = ("add", "sub", "neg", "mul", "inv", "div", "pow_")
 
-# FieldSpec ops per call, exact counts with the certificate's line facts read
-# off the slope buckets: the closed form, the reciprocal map, then four seeded
-# fractional maps.  A join sweep of the lifted points would add 194-338 per
-# certify_minimizer call and 356-1001 per certificate_bundle call, and fail.
+# FieldSpec ops per call, exact counts once the field's kept lines hold the
+# graph's cells, so that the certificate's line facts cost none: the closed
+# form, the reciprocal map, then four seeded fractional maps.  A join sweep of
+# the lifted points would add 194-338 per certify_minimizer call and 356-1001
+# per certificate_bundle call, and fail.
 OP_BOUNDS = {
-    7: [531, 541, 568, 602, 505, 602],
-    9: [664, 653, 606, 698, 607, 643],
-    13: [993, 999, 967, 1062, 967, 1075],
+    7: [419, 429, 456, 490, 393, 490],
+    9: [484, 473, 426, 518, 427, 463],
+    13: [629, 635, 603, 698, 603, 711],
 }
-BUNDLE_OP_BOUNDS = {
-    7: [629, 639, 666, 700, 603, 700],
-    9: [826, 815, 768, 860, 769, 805],
-    13: [1331, 1337, 1305, 1400, 1305, 1413],
-}
+# k* reads the sizes pass of the certificate it comes with: no op more
+BUNDLE_OP_BOUNDS = OP_BOUNDS
 
 
 def _field_ops(fn, q, monkeypatch):
-    """FieldSpec calls made by each fn(perm) over the OP_BOUNDS maps."""
+    """FieldSpec calls made by each fn(perm) over the OP_BOUNDS maps, once
+    the field's kept lines hold their cells, so that no earlier count
+    decides which calls fill them."""
     f = field_make(q)
     perms = [closed_form_minimizer(f), reciprocal_perm(f)] + _fractional_sample(q, 4, 500 + q)
+    for perm in perms:
+        _line_sizes(perm)
     count = [0]
 
     def counted(op):

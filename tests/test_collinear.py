@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from collinea import collinear
 from collinea.algebra import RingSpec, field_make
 from collinea.collinear import (
     FracParams,
     GenPerm,
     PermGraph,
+    _line_sizes,
     closed_form_minimizer,
     count_quadruples,
     count_triples,
@@ -87,6 +89,34 @@ def test_bucket_count_matches_naive_oracle(q):
         perm = PermGraph(f, tuple(base))
         assert count_triples(perm) == _naive_triples(perm)
         assert count_quadruples(perm) == _naive_quadruples(perm)
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_kept_lines_are_each_cells_lines(q):
+    # the graphs of x -> x + c mod q, on the encodings, cover every cell
+    f = field_make(q)
+    for c in range(q):
+        _line_sizes(PermGraph(f, tuple((x + c) % q for x in range(q))))
+    memo, _ = collinear._kept_lines(f)
+    assert len(memo) == q * q
+    for x, y in itertools.product(range(q), repeat=2):
+        # from scratch: on slope s, the intercept b with s*x + b = y
+        lines = tuple(s * q + b for s in range(q) for b in range(q)
+                      if f.add(f.mul(s, x), b) == y)
+        assert memo[x * q + y] == lines, (x, y)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_counts_above_the_kept_order_keep_no_lines(q, monkeypatch):
+    monkeypatch.setattr(collinear, "_KEEP_LINES", 6)
+    collinear._kept_lines.cache_clear()
+    rng = random.Random(4300 + q)
+    f = field_make(q)
+    for _ in range(20):
+        perm = PermGraph(f, tuple(rng.sample(range(q), q)))
+        assert count_triples(perm) == len(list_triples(perm))
+        assert count_quadruples(perm) == _naive_quadruples(perm)
+        assert collinear._kept_lines.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 10])

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import pickle
 import random
@@ -906,16 +907,17 @@ def stand_in_pool(monkeypatch):
 
 @pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
 def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
-    # the pair table and the row maps go to each process once, through the
+    # the pair table and the row maps go to each worker once, through the
     # pool's initializer, with the share count, the 2-prefix roots, the depth
-    # and the bounds; a job holds only its share indices.  The identity row
-    # map is dropped where the column group acts freely on 2-prefixes: on a
+    # and the bounds; a job holds only its share indices.  Of two processes
+    # the caller runs share 0 and one worker share 1.  The identity row map
+    # is dropped where the column group acts freely on 2-prefixes: on a
     # plane and over a field, but not over Z_8
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
     [pool] = stand_in_pool
-    assert pool.max_workers == len(pool.jobs) == 2
+    assert pool.max_workers == len(pool.jobs) == 1
     [(size, pairs, node_limit, count, roots, depth, limit, mode, sym)] = pool.initargs
     assert (count, depth, mode) == (2, 2, "best")
     rows, least, after = sym
@@ -931,15 +933,16 @@ def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
         assert len(rows) == n * sum(gcd(u, n) == 1 for u in range(1, n))
         assert tuple(range(n)) in rows
     assert all(len(root) == 2 for root in roots)
-    for j, job in enumerate(pool.jobs):
+    for j, job in enumerate(pool.jobs, 1):
         assert job == range(j, 2, 2)
         assert len(pickle.dumps(job)) < 100
 
 
 def test_jobs_generate_their_prefixes_lazily(stand_in_pool, monkeypatch):
     # GF(11) at depth 8 has 9! = 362,880 prefixes under its one root; a job
-    # must walk them as it runs, so the first kernel call sees one prefix
-    # made.  The kernel is stubbed: nothing is searched.
+    # must walk them as it runs, so the first kernel call, in the caller's
+    # share 0, sees one prefix made.  The kernel is stubbed: nothing is
+    # searched, and the worker's job is handed over but never run.
     made = []
     real = search._prefixes
 
@@ -965,9 +968,10 @@ def test_jobs_generate_their_prefixes_lazily(stand_in_pool, monkeypatch):
 
 def test_huge_thread_counts_make_at_most_one_share_per_task(stand_in_pool, monkeypatch):
     # GF(5) has one root, so depth 2 makes 3 * 2 = 6 tasks: there are
-    # min(threads or cores, 6) shares, on min(shares, cores) processes, and
-    # no pool when that is one process; threads=10**6 makes 6 shares.  Huge
-    # requests are checked on the stand-in pool alone: no process is started
+    # min(threads or cores, 6) shares, on procs = min(shares, cores)
+    # processes, the caller and a pool of procs - 1 workers, and no pool when
+    # procs is 1; threads=10**6 makes 6 shares.  Huge requests are checked on
+    # the stand-in pool alone: no process is started
     f5 = field_make(5)
     seq = min_triples_field(f5, SearchConfig())
     for threads in (None, 1, 10**6):
@@ -983,12 +987,26 @@ def test_huge_thread_counts_make_at_most_one_share_per_task(stand_in_pool, monke
             assert len(stand_in_pool) == started + (procs > 1), (threads, cpus)
             if procs > 1:
                 pool = stand_in_pool[-1]
-                assert pool.max_workers == len(pool.jobs) == procs
-                assert sorted(w for job in pool.jobs for w in job) == list(range(shares))
+                assert pool.max_workers == len(pool.jobs) == procs - 1
+                assert pool.jobs == [range(j, shares, procs) for j in range(1, procs)]
                 assert pool.initargs[0][3] == shares
         if threads is not None:
             # a requested thread count fixes the share count, so the counts too
             assert len(outs) == 1, threads
+
+
+@pytest.mark.parametrize("kind, n, limit, in_caller", [
+    # at threads 2, depth 2 share 0 expands 9 nodes over GF(7) and 124 over
+    # Z_8, share 1 14 and 65: one share passes the limit, the other does not
+    ("field", 7, 9, False), ("zn", 8, 65, True)])
+def test_a_share_over_the_node_limit_fails_a_real_pool(kind, n, limit, in_caller, monkeypatch):
+    # the caller runs share 0 and a worker process share 1; a worker's
+    # exception arrives with the worker's traceback as its cause
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(NodeLimitExceeded) as failed:
+        _search(kind, n, SearchConfig(parallel_depth=2, threads=2, node_limit=limit))
+    assert (failed.value.__cause__ is None) == in_caller
+    assert multiprocessing.active_children() == []
 
 
 def test_prefix_tasks_split_below_the_roots():

@@ -4,14 +4,22 @@ A minimizer's graph, lifted to PG(2, q) and joined with the two infinite
 points [1:0:0] and [0:1:0], should be a nondegenerate conic plus one external
 point.  This module builds that certificate from scratch (conic fitting, line
 counting, nucleus checks) so it serves as independent evidence rather than a
-restatement: no check reads the fractional parameters it is compared with.
+restatement: the conic, its external point and the line facts read no
+fractional parameters, and the parameters are checked at the fitted pole.
+The external point's x is the one pole tried; only when the map there is not
+the graph does recognize_fractional sweep all q poles, so every failure names
+the check it named before, and for q >= 5, where at most one pole survives
+the sweep, a map found at the fitted pole is the one the sweep returns.
 
 Each check works on the q+2 lifted points, not on a sweep of the q^2+q+1
 lines.  One Gauss-Jordan elimination over the six Veronese columns serves
 every conic fit: fit_conic runs it on its points' rows, and the drop-one
 conic search runs it once on the 6x6 Veronese matrix of the six leading
 points, which yields every conic through five of them, then tests the
-remaining points against each distinct conic once.
+remaining points against each distinct conic once.  The conic arithmetic
+(Veronese rows, eliminations, conic values) reads add, sub and mul tables
+indexed [a][b] (collinear._op_tables), kept per field up to order 32
+(collinear._KEEP_LINES) and calling FieldSpec per entry above it.
 
 The line facts come from the line sizes whose C(m, 3) count_triples sums
 (collinear._line_sizes), not from the C(q+2, 2) joins of the lifted points,
@@ -23,13 +31,16 @@ infinite points, so it meets the set exactly when its size is nonzero.
 That gives the covered lines k* in at most 2q^2 field operations, none once
 the field's memo holds the graph's cells, where the joins take
 13 C(q+2, 2).  count_covered_lines, which joins any point set, stays the
-generic reference.  A certificate costs O(q^2) field operations."""
+generic reference.  A certificate costs O(q^2) field operations; up to order
+32, once the field's memo and tables are filled, it calls FieldSpec
+only for the pivots' inverses, the degeneracy test and the O(q) check at the
+pole, 63-91 calls at q = 7 to 13."""
 
 import itertools
 from dataclasses import dataclass
 
 from .algebra import FieldSpec
-from .collinear import _line_sizes, _slope_count, recognize_fractional
+from .collinear import _fractional_at, _line_sizes, _op_tables, _slope_count, recognize_fractional
 from .errors import (
     Ambiguous,
     CertificateFailure,
@@ -108,21 +119,25 @@ def _covered_by_sizes(sizes, q):
     return q * q + q + 1 - sizes[q:].count(0)
 
 
-def _veronese(f, pt):
-    """The point's row of the Veronese matrix: x^2, y^2, xy, xz, yz, z^2."""
-    x, y, z = pt
-    return (f.mul(x, x), f.mul(y, y), f.mul(x, y), f.mul(x, z), f.mul(y, z), f.mul(z, z))
+def _veronese(f, pts):
+    """The points' rows of the Veronese matrix: x^2, y^2, xy, xz, yz, z^2."""
+    mul = _op_tables(f)[2]
+    return [(mul[x][x], mul[y][y], mul[x][y], mul[x][z], mul[y][z], mul[z][z])
+            for x, y, z in pts]
 
 
-def _dot(f, u, v):
-    acc = f.mul(u[0], v[0])
-    for a, b in zip(u[1:], v[1:]):
-        acc = f.add(acc, f.mul(a, b))
+def _dot(ops, u, v):
+    """The dot product of u and v over the op tables (add, sub, mul)."""
+    add, _, mul = ops
+    acc = 0
+    for a, b in zip(u, v):
+        if a:
+            acc = add[acc][mul[a][b]]
     return acc
 
 
 def conic_value(f, coeffs, pt):
-    return _dot(f, coeffs, _veronese(f, pt))
+    return _dot(_op_tables(f), coeffs, _veronese(f, [pt])[0])
 
 
 def _eliminate(f, rows):
@@ -130,19 +145,23 @@ def _eliminate(f, rows):
     rows[k] ends as the row of the k-th returned pivot column, 1 there and
     cleared from every other row, and the rows past the pivots are zero in
     those six columns.  Further columns ride along."""
+    _, sub, mul = _op_tables(f)
     pivots = []
     for c in range(6):
         r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(rows)):
+            if rows[pr][c]:
+                break
+        else:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        piv = rows[r] = [f.mul(inv, v) if v else 0 for v in rows[r]]
+        scale = mul[f.inv(rows[r][c])]
+        piv = rows[r] = [scale[v] if v else 0 for v in rows[r]]
         for i, row in enumerate(rows):
             fac = row[c]
             if i != r and fac:
-                rows[i] = [f.sub(a, f.mul(fac, b)) if b else a for a, b in zip(row, piv)]
+                scale = mul[fac]
+                rows[i] = [sub[a][scale[b]] if b else a for a, b in zip(row, piv)]
         pivots.append(c)
     return pivots
 
@@ -169,7 +188,7 @@ def fit_conic(points, f):
     pts = sorted({normalize_point(f, pt) for pt in points})
     if len(pts) < 5:
         raise ValueError("need at least 5 distinct points")
-    rows = [_veronese(f, pt) for pt in pts]
+    rows = _veronese(f, pts)
     pivots = _eliminate(f, rows)
     if len(pivots) == 6:
         raise NoConic(f"no conic through the {len(pts)} points")
@@ -210,6 +229,9 @@ def classify_conic(coeffs, f):
     return "nondegenerate_irreducible" if det != 0 else "degenerate"
 
 
+_UNIT_ROWS = [[int(i == j) for j in range(6)] for i in range(6)]
+
+
 def _five_point_fits(f, rows):
     """The conics through five of six points, from one Gauss-Jordan pass over
     their 6x6 Veronese matrix M (`rows`) with I6 beside it.
@@ -221,7 +243,7 @@ def _five_point_fits(f, rows):
     one conic through all six, and the five without i pin it exactly when
     row i has a nonzero coefficient in the one row dependency.  Below rank 5
     every five are Ambiguous."""
-    aug = [list(row) + [int(i == j) for j in range(6)] for i, row in enumerate(rows)]
+    aug = [list(row) + unit for row, unit in zip(rows, _UNIT_ROWS)]
     pivots = _eliminate(f, aug)
     if len(pivots) == 6:
         return [(tuple(row[6 + i] for row in aug), (i,)) for i in range(6)]
@@ -231,14 +253,14 @@ def _five_point_fits(f, rows):
     return [(kernel, ()) if lam else None for lam in aug[5][6:]]
 
 
-def _misses(f, coeffs, rows, off):
+def _misses(ops, coeffs, rows, off):
     """Indices of the candidates off the conic, stopping at the second:
     `off` are those among the first six, the rest are evaluated."""
     out = list(off)
     for j in range(6, len(rows)):
         if len(out) == 2:
             break
-        if _dot(f, coeffs, rows[j]):
+        if _dot(ops, coeffs, rows[j]):
             out.append(j)
     return tuple(out)
 
@@ -256,7 +278,8 @@ def _drop_one_hits(candidates, f):
     dropped point and nothing else; each distinct conic is evaluated once.
     Only five points that leave a pencil or more (Ambiguous) send the whole
     rest to fit_conic."""
-    rows = [_veronese(f, pt) for pt in candidates]
+    ops = _op_tables(f)
+    rows = _veronese(f, candidates)
     fits = _five_point_fits(f, rows[:6])
     misses = {}
     hits = []
@@ -272,7 +295,7 @@ def _drop_one_hits(candidates, f):
             continue
         coeffs, off = fit
         if coeffs not in misses:
-            misses[coeffs] = _misses(f, coeffs, rows, off)
+            misses[coeffs] = _misses(ops, coeffs, rows, off)
         if misses[coeffs] == (i,):
             hits.append((p, _conic_cert(f, coeffs)))
     return hits
@@ -281,7 +304,11 @@ def _drop_one_hits(candidates, f):
 def _certify(perm):
     """certify_minimizer's checks; returns the certificate, the recognized
     fractional parameters it was checked against and the graph's line sizes,
-    which the triple count and the nucleus check read."""
+    which the triple count and the nucleus check read.  The parameters are
+    tested at the fitted pole, -gamma = the external point's x, in O(q)
+    field operations; recognize_fractional's sweep of every pole runs only
+    when that test fails, to tell fractional_recognition from
+    external_point_matches_params."""
     f = perm.ctx
     if not isinstance(f, FieldSpec):
         raise ValueError(f"certificates need a finite field, got {f!r}")
@@ -308,7 +335,7 @@ def _certify(perm):
         raise CertificateFailure("lemma_ab_zero", f"leading coefficients ({a}, {b})")
     if ext[2] != 1:
         raise CertificateFailure("external_point_affine", f"{ext} lies on z = 0")
-    params = recognize_fractional(perm)
+    params = _fractional_at(f, perm.images, f.neg(ext[0])) or recognize_fractional(perm)
     if params is None:
         raise CertificateFailure("fractional_recognition", "no parameters reproduce perm")
     predicted = (f.neg(params.gamma), params.alpha, 1)

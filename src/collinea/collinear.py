@@ -13,11 +13,15 @@ Over GF(q) it also defines the patched fractional maps (alpha*x + beta) /
 (x + gamma) with sigma(-gamma) = alpha, the paper's minimizers.
 fractional_perm is their one rule: the closed-form minimizer, the reciprocal
 map and fractional_family are built through it, and recognize_fractional
-inverts it one pole at a time.
+inverts it one pole at a time (_fractional_at).
+
+Fields up to order _KEEP_LINES also keep add, sub and mul tables indexed
+[a][b], filled from FieldSpec's ops, for classify's conic arithmetic
+(_op_tables); above it the same reads call FieldSpec.
 """
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, astuple, dataclass
 from functools import lru_cache
 from math import comb
 
@@ -160,9 +164,10 @@ def count_quadruples(obj):
     return total
 
 
-# Fields up to this order keep their cell -> lines memo for the life of the
-# process: at most q^2 tuples of q shared line ids, about 190 KB at q = 25.
-# A larger field builds the lines of its q cells afresh on every count.
+# Fields up to this order keep their cell -> lines memo and their add, sub
+# and mul tables for the life of the process: at most q^2 tuples of q shared
+# line ids, about 190 KB at q = 25, and 3 q^2 table entries.  A larger field
+# adds up its lines afresh on every count and calls FieldSpec for every op.
 _KEEP_LINES = 32
 
 
@@ -173,24 +178,70 @@ def _kept_lines(f):
     return {}, list(range(f.q * f.q))
 
 
+@lru_cache(maxsize=None)
+def _kept_ops(f):
+    """add, sub and mul of a field up to order _KEEP_LINES, each a table
+    read [a][b], filled from FieldSpec's own ops."""
+    return tuple([[op(a, b) for b in f.elements()] for a in f.elements()]
+                 for op in (f.add, f.sub, f.mul))
+
+
+class _CallThrough(dict):
+    """op as a table read [a][b] that calls op(a, b) on every read: the op
+    tables above _KEEP_LINES, where q^2 entries are not worth building.
+    The view keeps each row it hands out, so a row read again costs a dict
+    hit."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, a):
+        row = self[a] = _CallThroughRow(self.op, a)
+        return row
+
+
+class _CallThroughRow:
+    """Row a of a _CallThrough view: [b] calls op(a, b)."""
+
+    __slots__ = ("op", "a")
+
+    def __init__(self, op, a):
+        self.op, self.a = op, a
+
+    def __getitem__(self, b):
+        return self.op(self.a, b)
+
+
+def _op_tables(f):
+    """(add, sub, mul) of a field as tables read [a][b]: kept up to order
+    _KEEP_LINES, call-through views of FieldSpec above it."""
+    if f.q <= _KEEP_LINES:
+        return _kept_ops(f)
+    return tuple(_CallThrough(op) for op in (f.add, f.sub, f.mul))
+
+
 def _line_sizes(perm):
     """How many graph points each non-vertical line of a field graph holds:
     entry s*q + b counts those on y = s*x + b, so sizes[:q] are the
     horizontal lines.  Cell (x, y) lies on the line s*q + (y - s*x) of each
     slope s; those q ids cost 2q field operations, once per cell up to order
-    _KEEP_LINES, whose memo keeps them, and on every count above it."""
+    _KEEP_LINES, whose memo keeps them, and on every count above it, which
+    adds each id straight into the sizes."""
     f = perm.ctx
     q = f.q
-    keep = q <= _KEEP_LINES
-    memo, ids = _kept_lines(f) if keep else ({}, range(q * q))
     sizes = [0] * (q * q)
+    if q > _KEEP_LINES:
+        sub, mul = f.sub, f.mul
+        for x, y in enumerate(perm.images):
+            for s in range(q):
+                sizes[s * q + sub(y, mul(s, x))] += 1
+        return sizes
+    memo, ids = _kept_lines(f)
     for x, y in enumerate(perm.images):
         cell = x * q + y
         lines = memo.get(cell)
         if lines is None:
-            lines = tuple([ids[s * q + f.sub(y, f.mul(s, x))] for s in range(q)])
-            if keep:
-                memo[cell] = lines
+            lines = memo[cell] = tuple([ids[s * q + f.sub(y, f.mul(s, x))] for s in range(q)])
         for line in lines:
             sizes[line] += 1
     return sizes
@@ -250,30 +301,34 @@ def reciprocal_perm(f):
     return fractional_perm(f, FracParams(0, 1, 0))
 
 
+def _fractional_at(f, ys, g):
+    """FracParams (alpha, beta, gamma) when the map with images ys is the
+    patched fractional map of pole -gamma = -g, else None.  The pole fixes alpha =
+    sigma(-g) by the patch, and one point x1 off it fixes beta =
+    sigma(x1)(x1 + g) - alpha*x1; the candidate holds when alpha*g != beta
+    and sigma(x)(x + g) = alpha*x + beta at every x off the pole."""
+    pole = f.neg(g)
+    a = ys[pole]
+    x1 = 1 if pole == 0 else 0
+    b = f.sub(f.mul(ys[x1], f.add(x1, g)), f.mul(a, x1))
+    if f.mul(a, g) != b and all(
+            f.mul(ys[x], f.add(x, g)) == f.add(f.mul(a, x), b)
+            for x in range(f.q) if x != pole):
+        return FracParams(a, b, g)
+    return None
+
+
 def recognize_fractional(perm):
     """The least FracParams (alpha, beta, gamma) whose map is perm, or None.
 
-    A pole -gamma fixes alpha = sigma(-gamma) by the patch, and one point x1
-    off the pole then fixes beta = sigma(x1)(x1 + gamma) - alpha*x1.  So each
-    gamma leaves one candidate, kept when alpha*gamma != beta and
-    sigma(x)(x + gamma) = alpha*x + beta at every x off the pole.  For q >= 5
-    at most one candidate is kept, since two Moebius maps that agree at three
-    or more points are equal, so which one is least matters only at q <= 4."""
+    Each gamma leaves one candidate (_fractional_at).  For q >= 5 at most
+    one candidate is kept, since two Moebius maps that agree at three or
+    more points are equal, so which one is least matters only at q <= 4."""
     f = perm.ctx
     if not isinstance(f, FieldSpec):
         return None
-    ys = perm.images
-    kept = []
-    for g in range(f.q):
-        pole = f.neg(g)
-        a = ys[pole]
-        x1 = 1 if pole == 0 else 0
-        b = f.sub(f.mul(ys[x1], f.add(x1, g)), f.mul(a, x1))
-        if f.mul(a, g) != b and all(
-                f.mul(ys[x], f.add(x, g)) == f.add(f.mul(a, x), b)
-                for x in range(f.q) if x != pole):
-            kept.append((a, b, g))
-    return FracParams(*min(kept)) if kept else None
+    kept = [t for g in range(f.q) if (t := _fractional_at(f, perm.images, g))]
+    return min(kept, key=astuple) if kept else None
 
 
 def transversal_from_bijection(plane, h_class, v_class, pi):

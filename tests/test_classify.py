@@ -31,6 +31,7 @@ from collinea.collinear import (
     FracParams,
     PermGraph,
     _line_sizes,
+    _op_tables,
     closed_form_minimizer,
     fractional_perm,
     reciprocal_perm,
@@ -473,7 +474,7 @@ def test_five_point_fits_match_fit_conic(q):
     }
     ambiguous = {}
     for name, six in cases.items():
-        fits = _five_point_fits(f, [_veronese(f, pt) for pt in six])
+        fits = _five_point_fits(f, _veronese(f, six))
         for i, fit in enumerate(fits):
             try:
                 want = fit_conic(six[:i] + six[i + 1 :], f)
@@ -504,8 +505,10 @@ def _bundle_digest(perms):
 
 
 def test_certificate_bundles_are_pinned():
-    """Byte-for-byte bundles of every GF(9) minimizer and a fixed GF(25)
-    sample of fractional maps, as the line-sweep certification gave them."""
+    """Byte-for-byte bundles of every GF(9) minimizer, a fixed GF(25) sample
+    of fractional maps, as the line-sweep certification gave them, and the
+    GF(37) closed form with a seeded sample, above _KEEP_LINES, as the
+    certification through FieldSpec calls gave them."""
     f9 = field_make(9)
     gf9 = [PermGraph(f9, w) for w in
            min_triples_field(f9, SearchConfig(mode="enumerate_all_min")).witnesses]
@@ -519,6 +522,8 @@ def test_certificate_bundles_are_pinned():
             sample.append(fractional_perm(f25, FracParams(a, b, g)))
     assert _bundle_digest(gf9) == "a684ab4638de0d9abacf8e0c1914994389234dd55b52d25f87dd27a212d15fbb"
     assert _bundle_digest(sample) == "9f652e2fdf7f951fea496da14a054272602ea511aaeb4b1fd6785cf969baa669"
+    gf37 = [closed_form_minimizer(field_make(37))] + _fractional_sample(37, 6, 37)
+    assert _bundle_digest(gf37) == "2528d147b8c25b413e27b91cb10a1787648bf54cfb57238cbff491d89797b7c3"
 
 
 def _fractional_sample(q, n, seed):
@@ -598,14 +603,18 @@ def test_failed_checks_past_the_precondition_are_pinned(q, monkeypatch):
 _OPS = ("add", "sub", "neg", "mul", "inv", "div", "pow_")
 
 # FieldSpec ops per call, exact counts once the field's kept lines hold the
-# graph's cells, so that the certificate's line facts cost none: the closed
-# form, the reciprocal map, then four seeded fractional maps.  A join sweep of
-# the lifted points would add 194-338 per certify_minimizer call and 356-1001
-# per certificate_bundle call, and fail.
+# graph's cells and its op tables are built, so that the certificate's line
+# facts and conic arithmetic cost none: the closed form, the reciprocal map,
+# then four seeded fractional maps.  A join sweep of the lifted points would
+# add 194-338 per certify_minimizer call and 356-1001 per certificate_bundle
+# call, and fail.  GF(37) is above _KEEP_LINES and keeps neither: its counts
+# are 2q^2 for the line ids plus every op of the conic arithmetic, which the
+# call-through tables send to FieldSpec, and of the recognition at the pole.
 OP_BOUNDS = {
-    7: [419, 429, 456, 490, 393, 490],
-    9: [484, 473, 426, 518, 427, 463],
-    13: [629, 635, 603, 698, 603, 711],
+    7: [63, 63, 63, 63, 67, 63],
+    9: [71, 71, 75, 71, 75, 75],
+    13: [87, 87, 91, 87, 91, 87],
+    37: [3510, 3450, 3579, 3668, 3579, 3579],
 }
 # k* reads the sizes pass of the certificate it comes with: no op more
 BUNDLE_OP_BOUNDS = OP_BOUNDS
@@ -613,12 +622,13 @@ BUNDLE_OP_BOUNDS = OP_BOUNDS
 
 def _field_ops(fn, q, monkeypatch):
     """FieldSpec calls made by each fn(perm) over the OP_BOUNDS maps, once
-    the field's kept lines hold their cells, so that no earlier count
-    decides which calls fill them."""
+    the field's kept lines hold their cells and its op tables are built, so
+    that no earlier call decides which calls fill them."""
     f = field_make(q)
     perms = [closed_form_minimizer(f), reciprocal_perm(f)] + _fractional_sample(q, 4, 500 + q)
     for perm in perms:
         _line_sizes(perm)
+    _op_tables(f)
     count = [0]
 
     def counted(op):

@@ -12,7 +12,9 @@ from collinea.collinear import (
     FracParams,
     GenPerm,
     PermGraph,
+    _fractional_at,
     _line_sizes,
+    _op_tables,
     closed_form_minimizer,
     count_quadruples,
     count_triples,
@@ -117,6 +119,45 @@ def test_counts_above_the_kept_order_keep_no_lines(q, monkeypatch):
         assert count_triples(perm) == len(list_triples(perm))
         assert count_quadruples(perm) == _naive_quadruples(perm)
         assert collinear._kept_lines.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 25, 27])
+def test_kept_op_tables_are_the_field_ops(q):
+    f = field_make(q)
+    add, sub, mul = _op_tables(f)
+    assert _op_tables(f) is collinear._kept_ops(f)
+    for a, b in itertools.product(range(q), repeat=2):
+        assert (add[a][b], sub[a][b], mul[a][b]) == (f.add(a, b), f.sub(a, b), f.mul(a, b))
+
+
+def test_op_tables_above_the_kept_order_call_the_field():
+    f = field_make(37)
+    collinear._kept_ops.cache_clear()
+    add, sub, mul = _op_tables(f)
+    for a, b in itertools.product(range(0, 37, 4), repeat=2):
+        assert (add[a][b], sub[a][b], mul[a][b]) == (f.add(a, b), f.sub(a, b), f.mul(a, b))
+    assert collinear._kept_ops.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("q", [5, 7, 9])
+def test_recognition_at_the_pole_agrees_with_the_sweep(q):
+    """At a member's own pole, _fractional_at gives recognize_fractional's
+    parameters.  With two images swapped it finds nothing there; the sweep
+    finds nothing at q = 7, 9, while at q = 5 the swap keeps three points of
+    the map, so it can be another member, always of another pole."""
+    f = field_make(q)
+    rng = random.Random(4500 + q)
+    for a, b, g in itertools.product(range(q), repeat=3):
+        if f.mul(a, g) == b:
+            continue
+        images = list(fractional_perm(f, FracParams(a, b, g)).images)
+        assert _fractional_at(f, images, g) == FracParams(a, b, g)
+        assert recognize_fractional(PermGraph(f, tuple(images))) == FracParams(a, b, g)
+        i, j = rng.sample(range(q), 2)
+        images[i], images[j] = images[j], images[i]
+        assert _fractional_at(f, images, g) is None
+        swept = recognize_fractional(PermGraph(f, tuple(images)))
+        assert swept is None or (q == 5 and swept.gamma != g)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 10])

@@ -46,13 +46,16 @@ check in the kernel
 problems", KR 1996): a node is pruned once some alpha, with the beta in G that
 makes its image least, takes the placed prefix lex-below itself.  That never
 prunes the lex-least member of an orbit, the one min_value, lex_least and
-first_below report.  The check is incremental (_lex_step): each alpha waits,
-filed under the row its next comparison needs, and is dropped for the
-subtree once its image compares higher.  _symmetry drops the identity row
-map where G acts freely on 2-prefixes (fields, prime n, planes): there it
-never cuts.
-enumerate_all_min expands the minimizers found by the row maps, then by G,
-drops repeats and sorts.
+first_below report, whatever subset of the row maps the check runs.  The
+check is incremental (_lex_step): each alpha waits, filed under the row its
+next comparison needs, and is dropped for the subtree once its image
+compares higher.  _symmetry drops the identity row map where G acts freely
+on 2-prefixes (fields, prime n, planes): there it never cuts.  The kernel
+gets only the row maps whose first comparisons come early (_cutting).
+enumerate_all_min expands the minimizers found by every row map, not only
+the kernel's, then by G, drops repeats and sorts: under a subset the kernel
+may keep several members of an orbit, but always its lex-least one, whose
+expansion by the whole group is the orbit.
 
 Every mode is one pass of the kernel against one exclusive limit: a node is
 pruned once its count, or its look-ahead bound, reaches the limit, or once
@@ -232,12 +235,12 @@ def _line_pairs(q, perms):
     return pairs
 
 
-def _pair_place(row, placed, cnt, step):
-    """Add step to cnt at every cell that row, the pairs[] entry of the cell
-    being placed or unplaced, lists under a placed cell."""
+def _pair_place(row, placed, cnt):
+    """Add one to cnt at every cell that row, the pairs[] entry of the cell
+    being placed, lists under a placed cell."""
     for a in placed:
         for c in row[a]:
-            cnt[c] += step
+            cnt[c] += 1
 
 
 def _lex_step(syms, d, sig, least, after):
@@ -284,7 +287,9 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
     Before expanding a node it prunes on cost + the sum over unplaced rows of
     the row's least counter in a free column: counters only grow, so no leaf
     below costs less.  It also prunes a node that some row map of sym, the
-    (rows, least, after) of _symmetry, takes lex-below itself (_lex_step)."""
+    (rows, least, after) of _symmetry, takes lex-below itself (_lex_step).
+    Each child gets its own free columns and a copy of its parent's counters
+    plus its own pairs, so nothing is undone on return."""
     budget = None if node_limit is None else node_limit - inc.nodes
     nodes = prunes = 0
     cells = size * size
@@ -295,14 +300,12 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
     syms = [[] for _ in range(size)]  # syms[r]: the states waiting for row r
     for inv in rows:  # first read once its first two comparisons can run
         syms[max(inv[0], inv[1])].append((inv, 0, 0))
-    used = 0
     cost = 0
     for d, y in enumerate(prefix):
         p = d * size + y
         cost += cnt[p]
-        _pair_place(pairs[p], placed, cnt, 1)
+        _pair_place(pairs[p], placed, cnt)
         placed.append(p)
-        used |= 1 << y
         sig[d] = y
         if syms[d] and _lex_step(syms, d, sig, least, after) is None:
             inc.prunes += 1
@@ -312,21 +315,26 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
         inc.prunes += 1
         return False
 
-    def rec(d, used, cost):
+    def rec(d, free, cost, cnt):
         nonlocal limit, nodes, prunes
         if d == size:
             stop = inc.offer(cost, [tuple(sig)])
             limit = inc.limit
             return stop
-        free = [y for y in range(size) if not used >> y & 1]
-        bound = cost
-        for base in range(d * size, cells, size):
-            bound += min([cnt[base + y] for y in free])
-            if bound >= limit:
-                prunes += 1
-                return False
         base = d * size
-        for y in free:
+        bound = cost
+        if len(free) == 1:
+            bound += cnt[base + free[0]]
+        else:
+            get = itemgetter(*free)
+            for b in range(base, cells, size):
+                bound += min(get(cnt[b:b + size]))
+                if bound >= limit:
+                    break
+        if bound >= limit:
+            prunes += 1
+            return False
+        for i, y in enumerate(free):
             p = base + y
             nc = cost + cnt[p]
             nodes += 1
@@ -342,20 +350,20 @@ def _pair_search(size, pairs, node_limit, prefix, inc, sym):
                 if moved is None:
                     prunes += 1
                     continue
-            row = pairs[p]
-            _pair_place(row, placed, cnt, 1)
+            child = cnt[:]
+            _pair_place(pairs[p], placed, child)
             placed.append(p)
-            stop = rec(d + 1, used | 1 << y, nc)
+            stop = rec(d + 1, free[:i] + free[i + 1:], nc, child)
             placed.pop()
-            _pair_place(row, placed, cnt, -1)
             for r in moved:
                 syms[r].pop()
             if stop:
                 return True
         return False
 
+    free = tuple([y for y in range(size) if y not in prefix])
     try:
-        stop = rec(len(prefix), used, cost)
+        stop = rec(len(prefix), free, cost, cnt)
     finally:
         del rec  # rec is in its own closure: unbind it so refcounting frees the search state
     inc.nodes += nodes
@@ -503,11 +511,29 @@ def _symmetry(rows, group):
     return rows, least, after, roots, group
 
 
+def _cutting(rows, size):
+    """The row maps handed to the kernel's lex-leader check: the alpha with
+    alpha^-1(0), alpha^-1(1) and alpha^-1(2) all at most ceil(size/2).  Any
+    subset is sound, as the check never cuts the lex-least member of an
+    orbit; the rule trades cuts against the cost of walking the states.
+    Over a field or prime n, G is sharply 2-transitive and the root is
+    (0, 1), so positions 0 and 1 of every image tie, and the first
+    comparison that can cut, position 2, waits for rows alpha^-1(0..2).  A
+    map whose last of these is row d is walked at every node that places
+    row d, and a cut there saves at most the (size - 1 - d)! leaves below
+    it: past the middle row the saving falls factorially while the nodes
+    that walk the map do not.  GF(13) keeps 27 of its 155 maps and expands
+    the same nodes.  Planes and composite n, where positions 0 and 1 can
+    cut too, take the same rule."""
+    return [inv for inv in rows if max(inv[:3]) <= (size + 1) // 2]
+
+
 def _run_search(cfg, size, sym, pairs, recount, seed_value=None):
     """Run cfg's mode over the completions of the roots of sym, the symmetry
-    of _symmetry, on the kernel with pair table pairs and sym's row maps.
-    enumerate_all_min expands the minimizers found there by the row maps,
-    then by the column group.  cfg None runs the default SearchConfig."""
+    of _symmetry, on the kernel with pair table pairs and the _cutting
+    subset of sym's row maps.  enumerate_all_min expands the minimizers
+    found there by all of sym's row maps, then by the column group.  cfg
+    None runs the default SearchConfig."""
     rows, least, after, roots, group = sym
     cfg = cfg or SearchConfig()
     t0 = time.perf_counter()
@@ -517,7 +543,8 @@ def _run_search(cfg, size, sym, pairs, recount, seed_value=None):
         seed = cfg.upper_bound_seed if cfg.upper_bound_seed is not None else seed_value
         limit = comb(size, 3) + 1 if seed is None else seed + 1
         mode = "all" if cfg.mode == "enumerate_all_min" else "best"
-    top, nodes, prunes = _search_shares(cfg, size, pairs, (rows, least, after), roots, limit, mode)
+    top, nodes, prunes = _search_shares(cfg, size, pairs, (_cutting(rows, size), least, after),
+                                        roots, limit, mode)
     psi = top.best if top.witnesses else None
     if psi is None and mode != "first":
         # only possible when the seed undercut the true minimum, so no

@@ -484,11 +484,11 @@ _PINNED_CALLS = [
     ({}, ("psi", "zn", "6"), 0,
      "36037069c5653ba6e062033acacbfd14b234e41b4b3096dcb7d6a1b43d943ce2"),
     ({}, ("psi", "plane", "ag_2_9"), 0,
-     "96613cdf304cd082f8c02e558f829469c788e77e147cb96b22bc2c12ac6f19ef"),
+     "96d07a7456c7f48ee0b35505156be6854c4ad02069dc31edec52ea9f183478ca"),
     ({}, ("lexleast", "9"), 2,
      "fdbddf09fec1738ecdea7ee2e3785fdc483030ca14b6db8d6dd844af970c7a68"),
     ({}, ("minimizers", "5", "--check-fractional"), 0,
-     "9f2fd4008fb5898ef970c69be189ae3a7faaadd047735865dcc2564a4d0829fc"),
+     "9af1a0962a427f491f4755090161c8175ca98960a714c5ac324cf74f0fa6d5a6"),
     ({}, ("triples", "--g", "--q", "7"), 0,
      "0abeefc453d607718196598ffc053289646af7e41496fa6f3d424ef2ef8622ce"),
     ({}, ("quadruples", "--inv", "--q", "8"), 0,

@@ -718,8 +718,11 @@ def test_row_and_column_maps_keep_the_triple_count(kind, n, monkeypatch):
 @pytest.mark.parametrize("kind, n", [("field", 5), ("field", 7), ("field", 8), ("zn", 6),
                                      ("zn", 8), ("zn", 9)] + _PLANES)
 def test_enumeration_keeps_one_minimizer_per_orbit(kind, n, monkeypatch):
-    # before the expansion, the kernel has kept exactly the lex-least member
-    # of each orbit of minimizers under the row and column maps
+    # before the expansion, the kernel has kept the lex-least member of each
+    # orbit of minimizers under the row and column maps, and with every row
+    # map in its lex-leader check nothing else; under the real filter
+    # (_cutting) it may keep more of an orbit, and the expansion of what it
+    # kept is still the enumeration
     rows, group = _symmetries(kind, n, monkeypatch)
     kept = []
     real = search._pair_search
@@ -730,10 +733,43 @@ def test_enumeration_keeps_one_minimizer_per_orbit(kind, n, monkeypatch):
         return stop
 
     monkeypatch.setattr(search, "_pair_search", spy)
-    out = _search(kind, n, SearchConfig(mode="enumerate_all_min"))
-    orbits = [{tuple([beta[w[i]] for i in inv]) for inv in rows for beta in group} for w in kept]
-    assert [min(orbit) for orbit in orbits] == kept
-    assert sum(map(len, orbits)) == len(set().union(*orbits)) == len(out.witnesses)
+    for every_row_map in (True, False):
+        with monkeypatch.context() as m:
+            if every_row_map:
+                m.setattr(search, "_cutting", lambda rows, size: rows)
+            out = _search(kind, n, SearchConfig(mode="enumerate_all_min"))
+        orbits = [{tuple([beta[w[i]] for i in inv]) for inv in rows for beta in group}
+                  for w in kept]
+        least = [min(orbit) for orbit in orbits]
+        if every_row_map:
+            assert least == kept
+            assert sum(map(len, orbits)) == len(set().union(*orbits))
+        else:
+            assert set(least) <= set(kept)
+        assert set().union(*orbits) == set(out.witnesses)
+
+
+@pytest.mark.parametrize("kind, n", [("field", 5), ("field", 7), ("field", 9), ("zn", 9),
+                                     ("plane", "hall_translation_deleted")])
+def test_enumeration_does_not_depend_on_the_kernels_row_maps(kind, n, monkeypatch):
+    # the expansion runs over every row map, not over the kernel's subset:
+    # with no row map or one in the kernel a field still has q^2 (q - 1)
+    # minimizers, and the pinned enumerations stand.  With one map the
+    # kernel keeps fewer than with none, so an expansion by the kernel's
+    # maps alone would lose minimizers
+    if kind == "field":
+        pin = FIELD_OUTPUT_SHA256.get((n, "enumerate_all_min", None))
+    elif kind == "zn":
+        pin = ZN_OUTPUT_SHA256[n, "enumerate_all_min", None]
+    else:
+        pin = PLANE_OUTPUT_SHA256[n][MODES.index("enumerate_all_min")]
+    for keep in (0, 1):
+        monkeypatch.setattr(search, "_cutting", lambda rows, size: rows[:keep])
+        out = _search(kind, n, SearchConfig(mode="enumerate_all_min"))
+        got = json.dumps([out.psi, [list(w) for w in out.witnesses]])
+        if kind == "field":
+            assert len(out.witnesses) == n * n * (n - 1), keep
+        assert pin is None or hashlib.sha256(got.encode()).hexdigest() == pin, keep
 
 
 def test_seed_below_the_minimum_is_rejected():
@@ -743,19 +779,24 @@ def test_seed_below_the_minimum_is_rejected():
                 _search(kind, n, SearchConfig(mode=mode, upper_bound_seed=psi - 1))
 
 
+# nodes and prunes of one sequential search.  With every row map in the
+# kernel rather than those that can cut (_cutting) GF(9) took 236 nodes (294
+# enumerating), Z_9 579 (858), Z_10 1,552, Z_12 enumerating 20,463 and
+# ag_2_9 365 (460); GF(11), Z_11 and hall_translation_deleted's min_value
+# did not move, its enumeration 5,208 -> 5,211
 NODE_COUNTS = [
-    ("field", 9, "min_value", 236, 179),
-    ("field", 9, "enumerate_all_min", 294, 220),
+    ("field", 9, "min_value", 238, 180),
+    ("field", 9, "enumerate_all_min", 297, 220),
     ("field", 11, "min_value", 2337, 1902),
-    ("zn", 9, "min_value", 579, 402),
-    ("zn", 9, "enumerate_all_min", 858, 546),
-    ("zn", 10, "min_value", 1552, 1190),
+    ("zn", 9, "min_value", 581, 403),
+    ("zn", 9, "enumerate_all_min", 869, 546),
+    ("zn", 10, "min_value", 1647, 1264),
     ("zn", 11, "min_value", 2337, 1902),
-    ("zn", 12, "enumerate_all_min", 20463, 16281),
-    ("plane", "ag_2_9", "min_value", 365, 239),
-    ("plane", "ag_2_9", "enumerate_all_min", 460, 281),
+    ("zn", 12, "enumerate_all_min", 20738, 16477),
+    ("plane", "ag_2_9", "min_value", 367, 240),
+    ("plane", "ag_2_9", "enumerate_all_min", 469, 277),
     ("plane", "hall_translation_deleted", "min_value", 3497, 2589),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 5208, 3556),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 5211, 3530),
 ]
 
 
@@ -781,15 +822,15 @@ def test_sequential_node_counts(kind, n, mode, nodes, prunes):
 # its tasks (every other one) against its own incumbent; a task pruned by the
 # lex-leader check at its prefix counts one prune and no node
 PARALLEL_COUNTS = [
-    ("field", 9, "min_value", 246, 224),
-    ("field", 9, "enumerate_all_min", 275, 245),
-    ("zn", 9, "min_value", 726, 555),
-    ("zn", 9, "enumerate_all_min", 994, 659),
-    ("zn", 10, "min_value", 1711, 1431),
-    ("plane", "ag_2_9", "min_value", 574, 407),
-    ("plane", "ag_2_9", "enumerate_all_min", 673, 438),
+    ("field", 9, "min_value", 248, 225),
+    ("field", 9, "enumerate_all_min", 278, 245),
+    ("zn", 9, "min_value", 710, 542),
+    ("zn", 9, "enumerate_all_min", 1009, 645),
+    ("zn", 10, "min_value", 1778, 1484),
+    ("plane", "ag_2_9", "min_value", 531, 376),
+    ("plane", "ag_2_9", "enumerate_all_min", 682, 426),
     ("plane", "hall_translation_deleted", "min_value", 3364, 2784),
-    ("plane", "hall_translation_deleted", "enumerate_all_min", 5082, 3746),
+    ("plane", "hall_translation_deleted", "enumerate_all_min", 5085, 3720),
 ]
 
 
@@ -905,14 +946,30 @@ def stand_in_pool(monkeypatch):
     return _StandInPool.started
 
 
-@pytest.mark.parametrize("kind, n", [("field", 7), ("zn", 8), ("plane", "ag_2_9")])
-def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
+# the row maps the kernel receives, of all the search has: those whose rows
+# alpha^-1(0), alpha^-1(1) and alpha^-1(2) all come by row ceil(size/2)
+KERNEL_ROW_MAPS = {
+    ("field", 7): (11, 41),
+    ("field", 9): (11, 71),
+    ("field", 11): (21, 109),
+    ("field", 13): (27, 155),
+    ("zn", 8): (6, 32),
+    ("plane", "ag_2_9"): (11, 71),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(KERNEL_ROW_MAPS))
+def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool, monkeypatch):
     # the pair table and the row maps go to each worker once, through the
     # pool's initializer, with the share count, the 2-prefix roots, the depth
     # and the bounds; a job holds only its share indices.  Of two processes
     # the caller runs share 0 and one worker share 1.  The identity row map
     # is dropped where the column group acts freely on 2-prefixes: on a
     # plane and over a field, but not over Z_8
+    every = []
+    real = search._cutting
+    monkeypatch.setattr(search, "_cutting",
+                        lambda rows, size: every.append(len(rows)) or real(rows, size))
     seq = _search(kind, n, SearchConfig())
     par = _search(kind, n, SearchConfig(parallel_depth=2, threads=2))
     assert (par.psi, par.witnesses) == (seq.psi, seq.witnesses)
@@ -922,16 +979,8 @@ def test_jobs_carry_no_pair_table_or_prefixes(kind, n, stand_in_pool):
     assert (count, depth, mode) == (2, 2, "best")
     rows, least, after = sym
     assert len(set(rows)) == len(rows)
-    if kind == "plane":
-        # the row group of ag_2_9 at classes (0, 1), all but the identity
-        assert len(rows) == 72 - 1 and tuple(range(9)) not in rows
-    elif kind == "field":
-        # x -> u*x + b, u nonzero, all but the identity
-        assert len(rows) == n * (n - 1) - 1 and tuple(range(n)) not in rows
-    else:
-        # x -> u*x + b, u a unit, the identity too
-        assert len(rows) == n * sum(gcd(u, n) == 1 for u in range(1, n))
-        assert tuple(range(n)) in rows
+    assert (len(rows), every[-1]) == KERNEL_ROW_MAPS[kind, n]
+    assert (tuple(range(size)) in rows) == (kind == "zn")
     assert all(len(root) == 2 for root in roots)
     for j, job in enumerate(pool.jobs, 1):
         assert job == range(j, 2, 2)
